@@ -5,8 +5,9 @@ opens a new paragraph when the gap to the line above exceeds the normal
 spacing tolerance or when it is indented relative to that line; the first
 line of a column or page continues the open paragraph.  End-of-line hyphens
 are deleted at the join (kept only when a supplied word list knows the
-compound).  Every character keeps its provenance so highlighting can find
-it again in the replica.
+compound).  Paragraphs carry text only: the per-character provenance that
+highlighting needs to find a sentence again in the replica lives in
+``ExtractionResult.stream`` (see highlight.build_stream).
 """
 
 from __future__ import annotations
@@ -18,19 +19,16 @@ from .columns import iter_segments
 from .metrics import DocumentStats, Line, PageLineTree, Thresholds
 from .postag import PosTagger
 from .removal import RemovalLog
-from .replica import CharRef
 
 
 @dataclass
 class Sentence:
     text: str
-    refs: list[CharRef | None]
 
 
 @dataclass
 class Paragraph:
     text: str
-    refs: list[CharRef | None]
     sentences: list[Sentence] = field(default_factory=list)
 
 
@@ -47,55 +45,43 @@ class BodyText:
             yield from paragraph.sentences
 
 
-def _line_chars(line: Line) -> tuple[list[str], list[CharRef | None]]:
-    chars: list[str] = []
-    refs: list[CharRef | None] = []
-    for block in line.blocks:
-        for t, c in enumerate(block.text):
-            chars.append(c)
-            refs.append(CharRef(c=c, b=block.index, t=t))
-    return chars, refs
-
-
-def join_lines(chars, refs, next_chars, next_refs,
-               hyphen_words: set[str] | None = None) -> None:
-    """Append the next line in place, handling a trailing hyphen.
-
-    Default: a final hyphen is deleted and the fragments concatenated.
-    With a word list: the hyphen stays when fragment-hyphen-fragment forms a
-    listed compound.
-    """
-    if chars and chars[-1] == "-":
-        if hyphen_words:
-            prev_word = "".join(chars).rsplit(None, 1)[-1][:-1]
-            next_word = "".join(next_chars).split(None, 1)[0] if next_chars else ""
-            if (prev_word + "-" + next_word).lower() in hyphen_words:
-                chars.extend(next_chars)
-                refs.extend(next_refs)
-                return
-        del chars[-1]
-        del refs[-1]
-        chars.extend(next_chars)
-        refs.extend(next_refs)
-    else:
-        chars.append(" ")
-        refs.append(None)
-        chars.extend(next_chars)
-        refs.extend(next_refs)
+def _trailing_word(pieces: list[str]) -> str:
+    """Final run of non-space characters of ``"".join(pieces)``, read from
+    the non-empty pieces without joining them."""
+    parts = []
+    for piece in reversed(pieces):
+        if piece[-1].isspace():
+            break
+        word = piece.rsplit(None, 1)[-1]
+        parts.append(word)
+        if len(word) < len(piece):
+            break
+    return "".join(reversed(parts))
 
 
 def dehyphenate(lines: list[str], hyphen_words: set[str] | None = None) -> str:
-    """Join raw line texts with the hyphen rule; provenance-free variant."""
-    chars: list[str] = []
-    refs: list = []
+    """Join line texts into one paragraph, handling trailing hyphens.
+
+    Lines are joined with a space unless the text so far ends with a
+    hyphen.  Default: that hyphen is deleted and the fragments
+    concatenated.  With a word list: the hyphen stays when
+    fragment-hyphen-fragment forms a listed compound.
+    """
+    pieces: list[str] = []           # non-empty, joined once at the end
     for i, text in enumerate(lines):
-        cs = list(text)
-        rs: list = [None] * len(cs)
-        if i == 0:
-            chars, refs = cs, rs
-        else:
-            join_lines(chars, refs, cs, rs, hyphen_words)
-    return "".join(chars)
+        if pieces and pieces[-1][-1] == "-":
+            compound = hyphen_words and (
+                _trailing_word(pieces) + (text.split(None, 1) or [""])[0]
+            ).lower() in hyphen_words
+            if not compound:
+                pieces[-1] = pieces[-1][:-1]
+                if not pieces[-1]:
+                    pieces.pop()
+        elif i:
+            pieces.append(" ")
+        if text:
+            pieces.append(text)
+    return "".join(pieces)
 
 
 def assemble(tree: PageLineTree, model, stats: DocumentStats,
@@ -111,35 +97,26 @@ def assemble(tree: PageLineTree, model, stats: DocumentStats,
     continues the open paragraph.
     """
     body = BodyText()
-    chars: list[str] = []
-    refs: list[CharRef | None] = []
+    lines: list[str] = []
 
     def flush():
-        nonlocal chars, refs
-        if chars:
-            body.paragraphs.append(Paragraph(text="".join(chars), refs=refs))
-        chars, refs = [], []
+        if lines:
+            body.paragraphs.append(
+                Paragraph(text=dehyphenate(lines, hyphen_words)))
+            lines.clear()
 
     previous: Line | None = None
     previous_page: int | None = None
     for segment in iter_segments(tree, model):
         for line in segment.lines:
-            new_paragraph = False
             if (previous is not None
                     and previous_page == segment.page.page_number
                     and previous.y > line.y):
                 gap = previous.y - line.y
-                if gap > stats.base_ls + thresholds.gamma4:
-                    new_paragraph = True
-                elif round(line.x) > round(previous.x):
-                    new_paragraph = True
-            if new_paragraph:
-                flush()
-            line_chars, line_refs = _line_chars(line)
-            if chars:
-                join_lines(chars, refs, line_chars, line_refs, hyphen_words)
-            else:
-                chars, refs = line_chars, line_refs
+                if (gap > stats.base_ls + thresholds.gamma4
+                        or round(line.x) > round(previous.x)):
+                    flush()
+            lines.append(line.text)
             previous = line
             previous_page = segment.page.page_number
     flush()
@@ -199,6 +176,12 @@ def _sentence_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
+def _normalize(text: str) -> str:
+    """Collapse whitespace runs to one space; sentences are compared in
+    this form when located (highlight) and when scored (evaluate)."""
+    return " ".join(text.split())
+
+
 def segment_sentences(paragraph: str) -> list[str]:
     """Split a paragraph after . ! ? followed by an upper/digit/quote opener;
     common abbreviations and single-initial periods do not split."""
@@ -208,7 +191,7 @@ def segment_sentences(paragraph: str) -> list[str]:
 def finalize_sentences(body: BodyText) -> BodyText:
     for paragraph in body.paragraphs:
         paragraph.sentences = [
-            Sentence(text=paragraph.text[a:b], refs=paragraph.refs[a:b])
+            Sentence(text=paragraph.text[a:b])
             for a, b in _sentence_spans(paragraph.text)]
     return body
 

@@ -49,10 +49,6 @@ class ColumnModel:
     page_width: int
     minor_columns: list[int] = field(default_factory=list)
 
-    @property
-    def bt_area(self) -> tuple[int, int]:
-        return (self.margin_width, self.page_width - self.margin_width)
-
     def for_page(self, page_number: int) -> "ColumnModel":
         return self
 

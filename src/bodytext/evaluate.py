@@ -17,7 +17,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .assembly import segment_sentences
+from .assembly import _normalize, segment_sentences
 from .errors import FormatError, PipelineError
 
 CATEGORIES = ("sentences", "paragraphs", "table_figure_text")
@@ -58,10 +58,6 @@ class EvalReport:
     def metric(self, category: str, metric: str) -> float | None:
         counts = self.categories.get(category)
         return getattr(counts, metric) if counts else None
-
-
-def _normalize(text: str) -> str:
-    return " ".join(text.split())
 
 
 def parse_bt(text: str | bytes) -> list[str]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .assembly import _normalize
 from .columns import iter_segments
 from .errors import PipelineError
 from .metrics import PageLineTree
@@ -27,10 +28,14 @@ _OPEN_TMPL = '<span class="%s" style="color:%s">' % (HL_CLASS, "%s")
 _CLOSE = "</span>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamChar:
+    """One stream character and its source: offset ``t`` of block ``b``
+    (both None for a collapsed space)."""
+
     char: str
-    ref: CharRef | None
+    b: int | None
+    t: int | None = None
     optional: bool = False      # end-of-line hyphen: may match '-' or nothing
 
 
@@ -38,7 +43,6 @@ class StreamChar:
 class HighlightSpan:
     start: CharRef
     end: CharRef
-    color: str = ""
     blocks: tuple[int, ...] = ()   # block indices the match covers, in order
 
 
@@ -61,18 +65,14 @@ def build_stream(tree: PageLineTree, model) -> list[StreamChar]:
                     if pending_space and stream:
                         stream.append(StreamChar(" ", None))
                     pending_space = False
-                    stream.append(StreamChar(c, CharRef(c=c, b=block.index, t=t)))
+                    stream.append(StreamChar(c, block.index, t))
             if stream and stream[-1].char == "-" and not stream[-1].optional:
                 last = stream[-1]
-                stream[-1] = StreamChar("-", last.ref, optional=True)
+                stream[-1] = StreamChar("-", last.b, last.t, optional=True)
                 pending_space = False
             else:
                 pending_space = True
     return stream
-
-
-def _normalize(sentence: str) -> str:
-    return " ".join(sentence.split())
 
 
 def _match_at(stream: list[StreamChar], i: int, target: str) -> int | None:
@@ -132,12 +132,14 @@ def locate_sentence(stream: list[StreamChar], sentence: str,
                         f"{target[:50]!r}")
 
     first, end = matches[0]
-    refs = [e.ref for e in stream[first:end] if e.ref is not None]
+    anchored = [e for e in stream[first:end] if e.b is not None]
     blocks: list[int] = []
-    for ref in refs:
-        if not blocks or blocks[-1] != ref.b:
-            blocks.append(ref.b)
-    return HighlightSpan(start=refs[0], end=refs[-1], blocks=tuple(blocks))
+    for e in anchored:
+        if not blocks or blocks[-1] != e.b:
+            blocks.append(e.b)
+    return HighlightSpan(start=CharRef(anchored[0].b, anchored[0].t),
+                         end=CharRef(anchored[-1].b, anchored[-1].t),
+                         blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

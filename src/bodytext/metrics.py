@@ -122,13 +122,18 @@ class PageLineTree:
             yield from line.blocks
 
 
+def _mode(hist: dict) -> float:
+    """Key with the largest count; ties go to the smaller key."""
+    best = max(hist.values())
+    return min(key for key, count in hist.items() if count == best)
+
+
 def font_size_mode(blocks) -> float:
     """Font size enclosing the most characters; ties go to the smaller size."""
     hist = font_size_histogram(blocks)
     if not hist:
         raise PipelineError("no text: document has no non-empty text blocks")
-    best = max(hist.values())
-    return min(size for size, count in hist.items() if count == best)
+    return _mode(hist)
 
 
 def font_size_histogram(blocks) -> dict[float, int]:
@@ -176,8 +181,7 @@ def line_spacing_mode(tree: PageLineTree, model) -> int:
     hist = gap_histogram(tree, model)
     if not hist:
         raise PipelineError("insufficient lines: no column has two lines")
-    best = max(hist.values())
-    return min(gap for gap, count in hist.items() if count == best)
+    return _mode(hist)
 
 
 def gap_histogram(tree: PageLineTree, model) -> dict[int, int]:
@@ -218,7 +222,6 @@ def compute_stats(blocks, tree: PageLineTree, model,
     g_hist = gap_histogram(tree, model)
     if not g_hist:
         raise PipelineError("insufficient lines: no column has two lines")
-    best = max(g_hist.values())
-    ls = min(gap for gap, count in g_hist.items() if count == best)
-    return DocumentStats(base_fs=base_fs, base_ls=ls, base_cbd=base_cbd(tree),
+    return DocumentStats(base_fs=base_fs, base_ls=_mode(g_hist),
+                         base_cbd=base_cbd(tree),
                          font_size_histogram=fs_hist, gap_histogram=g_hist)

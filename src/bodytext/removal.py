@@ -50,10 +50,9 @@ class LineVerdict:
 
 @dataclass
 class RemovalState:
-    """Backward-scan state: the predecessor-removed flag and the cursor."""
+    """Backward-scan state: the predecessor-removed flag."""
 
     p: bool = False
-    cursor: tuple[int, int, int] | None = None   # (page, column, line index)
 
 
 @dataclass
@@ -86,15 +85,6 @@ def _preview(text: str) -> str:
     return text[:60]
 
 
-def _page_objects(page: Page):
-    """Pre-order walk of one page's object tree."""
-    stack = list(reversed(page.objects))
-    while stack:
-        obj = stack.pop()
-        yield obj
-        stack.extend(reversed(obj.children))
-
-
 # ---------------------------------------------------------------------------
 # Shallow removal
 # ---------------------------------------------------------------------------
@@ -113,38 +103,36 @@ def shallow_remove(doc: ReplicaDocument, base_fs: float,
     """
     log = log if log is not None else RemovalLog()
     lo, hi = base_fs - thresholds.delta2, base_fs + thresholds.delta2
-    pages = []
-    for page in doc.pages:
-        kept: list[PageObject] = []
-        for obj in _page_objects(page):
-            if obj.kind != "text_block" or obj.block is None:
-                if obj.kind in ("image", "line"):
-                    log.blocks.append(BlockVerdict(
-                        page=page.number,
-                        x=obj.absolute_start[0] if obj.absolute_start else 0.0,
-                        y=obj.absolute_start[1] if obj.absolute_start else 0.0,
-                        preview=f"<{obj.kind}>", reasons={"non_textual"}))
-                continue
-            block = obj.block
-            reasons = set()
-            if block.rotated:
-                reasons.add("rotated")
-            exempt = (abstract_band is not None
-                      and block.page_number == abstract_band[0]
-                      and abstract_band[2] < block.y < abstract_band[1])
-            if not exempt and not (lo < block.font_size < hi):
-                reasons.add("font_size")
-            if reasons:
+    kept: dict[int, list[PageObject]] = {id(page): [] for page in doc.pages}
+    for page, obj in doc.iter_objects():
+        if obj.kind != "text_block" or obj.block is None:
+            if obj.kind in ("image", "line"):
                 log.blocks.append(BlockVerdict(
-                    page=page.number, x=block.x, y=block.y,
-                    preview=_preview(block.text), reasons=reasons))
-            else:
-                kept.append(PageObject(kind="text_block",
-                                       relative_start=obj.absolute_start,
-                                       height=obj.height, block=block,
-                                       absolute_start=obj.absolute_start))
-        pages.append(Page(number=page.number, width=page.width,
-                          height=page.height, objects=kept))
+                    page=page.number,
+                    x=obj.absolute_start[0] if obj.absolute_start else 0.0,
+                    y=obj.absolute_start[1] if obj.absolute_start else 0.0,
+                    preview=f"<{obj.kind}>", reasons={"non_textual"}))
+            continue
+        block = obj.block
+        reasons = set()
+        if block.rotated:
+            reasons.add("rotated")
+        exempt = (abstract_band is not None
+                  and block.page_number == abstract_band[0]
+                  and abstract_band[2] < block.y < abstract_band[1])
+        if not exempt and not (lo < block.font_size < hi):
+            reasons.add("font_size")
+        if reasons:
+            log.blocks.append(BlockVerdict(
+                page=page.number, x=block.x, y=block.y,
+                preview=_preview(block.text), reasons=reasons))
+        else:
+            kept[id(page)].append(PageObject(
+                kind="text_block", relative_start=obj.absolute_start,
+                height=obj.height, block=block,
+                absolute_start=obj.absolute_start))
+    pages = [Page(number=page.number, width=page.width, height=page.height,
+                  objects=kept[id(page)]) for page in doc.pages]
     return ReplicaDocument(pages=pages, page_width=doc.page_width,
                            page_height=doc.page_height,
                            warnings=doc.warnings, source=doc.source)
@@ -414,7 +402,6 @@ def backward_removal(tree: PageLineTree, model, stats: DocumentStats,
     doomed: set[int] = set()
     for pos in range(len(order) - 1, -1, -1):
         segment, i, line, context = order[pos]
-        state.cursor = (segment.page.page_number, segment.column_id, i)
         p_before = state.p
         verdict = LineVerdict(
             page=segment.page.page_number, column_id=segment.column_id,

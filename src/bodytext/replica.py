@@ -36,8 +36,7 @@ from .errors import ReplicaFormatError, ReplicaParseError
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 # CSS properties the ingester resolves from class rules / inline styles.
-_NUMERIC_PROPS = ("left", "bottom", "top", "width", "height",
-                  "font-size", "word-spacing")
+_NUMERIC_PROPS = ("left", "bottom", "top", "width", "height", "font-size")
 _VOID_TAGS = {"img", "br", "hr", "meta", "link", "input", "base", "source"}
 
 
@@ -63,9 +62,6 @@ class TextBlock:
     text: str
     height: float = 0.0
     font_size: float = 0.0
-    font_style: str = ""
-    font_color: str = ""
-    word_spacing: float = 0.0
     rotation: tuple[float, float, float, float] = IDENTITY
     internal_gaps: list[tuple[int, float]] = field(default_factory=list)
     absolute_start: tuple[float, float] | None = None
@@ -89,9 +85,9 @@ class TextBlock:
 
 @dataclass(frozen=True)
 class CharRef:
-    """Provenance of one character: block index ``b``, offset ``t`` within it."""
+    """Source of one end of a located span: block index ``b``, offset ``t``
+    within it."""
 
-    c: str
     b: int
     t: int
 
@@ -157,10 +153,6 @@ def _parse_declarations(body: str) -> dict[str, object]:
             m = _NUM_RE.match(value)
             if m:
                 props[name] = float(m.group(1))
-        elif name in ("color",):
-            props["color"] = value
-        elif name in ("font-family", "font-style"):
-            props.setdefault("font-token", value)
         elif name in ("transform", "-webkit-transform"):
             mat = _parse_transform(value)
             if mat is not None:
@@ -349,9 +341,6 @@ class _ReplicaParser(HTMLParser):
                 text=text.replace("\n", " "),
                 height=float(props.get("height", 0.0)),
                 font_size=float(props.get("font-size", 0.0)),
-                font_style=str(props.get("font-token", "")),
-                font_color=str(props.get("color", "")),
-                word_spacing=float(props.get("word-spacing", 0.0)),
                 rotation=props.get("transform", IDENTITY),
                 internal_gaps=node.gaps,
                 elem_span=(node.start, elem_end),
@@ -471,8 +460,7 @@ def parse_replica(html, css=(), *, strict: bool = False) -> ReplicaDocument:
 
     pages = []
     for obj in container.children:
-        attrs = getattr(obj, "attrs", {})
-        number = _page_number(attrs)
+        number = _page_number(obj.attrs)
         if number is None:
             parser.warnings.append("non-page child of the page container skipped")
             continue
@@ -503,7 +491,7 @@ def _find_container(objects) -> PageObject | None:
     stack = list(objects)
     while stack:
         obj = stack.pop()
-        if getattr(obj, "attrs", {}).get("id") == "page-container":
+        if obj.attrs.get("id") == "page-container":
             return obj
         stack.extend(obj.children)
     return None

@@ -3,6 +3,7 @@
 from bodytext.assembly import (BodyText, Paragraph, assemble, dehyphenate,
                                emit, finalize_sentences, remove_captions,
                                segment_sentences)
+from bodytext.highlight import build_stream
 from bodytext.metrics import DocumentStats, Thresholds
 from bodytext.postag import LexiconTagger
 from bodytext.removal import RemovalLog
@@ -66,18 +67,23 @@ def test_gap_over_removed_material_breaks():
     assert len(body.paragraphs) == 2
 
 
-def test_provenance_refs_cover_output():
-    body = assemble_rows([line(["ab cd", "ef"], y=700),
-                          line(["gh ij."], y=686)])
-    para = body.paragraphs[0]
-    assert para.text == "ab cdef gh ij."
-    assert len(para.refs) == len(para.text)
-    for ch, ref in zip(para.text, para.refs):
-        if ref is not None:
-            assert ref.c == ch
-    # inserted join spaces carry no provenance
-    assert para.refs[para.text.index(" gh")] is None
-    bs = [r.b for r in para.refs if r is not None]
+def test_stream_provenance_covers_output():
+    rows = [line(["ab cd", "ef"], y=700), line(["gh ij."], y=686)]
+    body = assemble_rows(rows)
+    t = tree(rows)
+    blocks = list(t.blocks())
+    for i, b in enumerate(blocks):
+        b.index = i
+    stream = build_stream(t, single_column_model())
+    assert body.paragraphs[0].text == "ab cdef gh ij."
+    assert "".join(e.char for e in stream) == body.paragraphs[0].text
+    for e in stream:
+        if e.b is None:
+            # collapsed and inserted join spaces carry no provenance
+            assert e.char == " " and e.t is None
+        else:
+            assert blocks[e.b].text[e.t] == e.char
+    bs = [e.b for e in stream if e.b is not None]
     assert bs == sorted(bs)
 
 
@@ -105,10 +111,21 @@ def test_dehyphenate_dictionary_keeps_compound():
         "state-of-the-art results"
     assert dehyphenate(["state-", "of-the-art results"]) == \
         "stateof-the-art results"
+    # a whitespace-only next line has no first word
+    assert dehyphenate(["state-", "\u00a0"], words) == "state\u00a0"
 
 
 def test_dehyphenate_plain_join():
     assert dehyphenate(["no hyphen", "next line"]) == "no hyphen next line"
+
+
+def test_hyphen_before_whitespace_only_line_with_word_list():
+    body = assemble_rows([line(["ends in state-"], y=700),
+                          line(["\u00a0"], y=686),
+                          line(["of the art."], y=672)],
+                         hyphen_words={"state-of"})
+    assert [p.text for p in body.paragraphs] == [
+        "ends in state\u00a0 of the art."]
 
 
 def test_no_output_line_ends_with_wrap_hyphen():
@@ -146,7 +163,7 @@ def test_segment_closing_quote():
 # -- caption gate -----------------------------------------------------------------
 
 def para(text):
-    return Paragraph(text=text, refs=[None] * len(text))
+    return Paragraph(text=text)
 
 
 def test_caption_removed_when_third_word_not_verb():
@@ -208,5 +225,3 @@ def test_finalize_sentences_spans():
     finalize_sentences(body)
     sents = [s.text for s in body.paragraphs[0].sentences]
     assert sents == ["One sentence here.", "And a second one that wraps."]
-    for s in body.paragraphs[0].sentences:
-        assert len(s.refs) == len(s.text)
