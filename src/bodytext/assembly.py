@@ -161,7 +161,10 @@ def _sentence_spans(text: str) -> list[tuple[int, int]]:
                        and (text[k].isupper() or text[k].isdigit()
                             or text[k] in _OPENERS))
             if follows and ch == ".":
-                word = text[:i + 1].rsplit(None, 1)[-1].lstrip(_OPENERS)
+                w = i                        # start of the word before '.'
+                while w and not text[w - 1].isspace():
+                    w -= 1
+                word = text[w:i + 1].lstrip(_OPENERS)
                 if word.lower() in _ABBREVIATIONS or _SINGLE_CAP_RE.match(word):
                     i += 1
                     continue

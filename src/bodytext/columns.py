@@ -27,10 +27,6 @@ class SweepHistogram:
     counts: list[int]
     width: int
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("x,count\n")

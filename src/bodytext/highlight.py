@@ -1,11 +1,13 @@
-"""Locate sentences in the body-text character stream and color them in the
-replica markup.
+"""Locate sentences in the body-text stream and color them in the replica
+markup.
 
-The stream is the sequence of characters of the kept lines in reading
-order, each carrying its (block, offset) provenance.  Matching normalizes
-whitespace runs on both sides and treats an end-of-line hyphen as
-optionally absent, so sentences taken from the dehyphenated output still
-match.  Injection wraps the matched range in ``<span class="hl"
+The stream is the text of the kept lines in reading order, with every
+whitespace run collapsed to one space, plus a run table that gives each
+whitespace-free piece its (block, offset) source.  An end-of-line hyphen
+is written as ``"\\n"``: it may match ``-`` or nothing, so sentences taken
+from the dehyphenated output still match.  A sentence is located by
+compiling it into a regular expression that allows those optional hyphens
+anywhere.  Injection wraps the matched range in ``<span class="hl"
 style="color:...">`` tags: partial coverage of the boundary blocks at the
 text level, whole middle blocks at the element level.  Every other byte of
 the replica is left untouched, so stripping the tags restores the original
@@ -15,6 +17,7 @@ exactly.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .assembly import _normalize
@@ -26,17 +29,31 @@ from .replica import CharRef, ReplicaDocument, TextBlock
 HL_CLASS = "hl"
 _OPEN_TMPL = '<span class="%s" style="color:%s">' % (HL_CLASS, "%s")
 _CLOSE = "</span>"
+_PIECE_RE = re.compile(r"\S+")
+_UNIT_RE = re.compile(r"-+|[^-]")     # a run of '-' or one other character
 
 
 @dataclass(frozen=True, slots=True)
-class StreamChar:
-    """One stream character and its source: offset ``t`` of block ``b``
-    (both None for a collapsed space)."""
+class Stream:
+    """Stream text and its run table: the piece starting at stream offset
+    ``starts[i]`` is block ``runs[i][0]`` from offset ``runs[i][1]``."""
 
-    char: str
-    b: int | None
-    t: int | None = None
-    optional: bool = False      # end-of-line hyphen: may match '-' or nothing
+    text: str
+    starts: list[int]
+    runs: list[tuple[int, int]]
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def run(self, k: int) -> int:
+        """Index of the run holding stream offset ``k``."""
+        return bisect_right(self.starts, k) - 1
+
+    def ref(self, k: int) -> CharRef:
+        """Source of the non-space character at stream offset ``k``."""
+        i = self.run(k)
+        b, t = self.runs[i]
+        return CharRef(b, t + k - self.starts[i])
 
 
 @dataclass
@@ -46,65 +63,66 @@ class HighlightSpan:
     blocks: tuple[int, ...] = ()   # block indices the match covers, in order
 
 
-def build_stream(tree: PageLineTree, model) -> list[StreamChar]:
-    """Character stream of the kept lines in reading order.
+def build_stream(tree: PageLineTree, model) -> Stream:
+    """Stream of the kept lines in reading order.
 
-    Whitespace runs collapse to a single unanchored space; line boundaries
-    insert one unless the line ends with a hyphen, which becomes an optional
-    element instead (the joined text may or may not contain it).
+    Whitespace runs collapse to a single space; line boundaries insert one
+    unless the line ends with a hyphen, which becomes an optional hyphen
+    instead (the joined text may or may not contain it).
     """
-    stream: list[StreamChar] = []
+    pieces: list[str] = []
+    starts: list[int] = []
+    runs: list[tuple[int, int]] = []
+    size = 0
     pending_space = False
     for segment in iter_segments(tree, model):
         for line in segment.lines:
             for block in line.blocks:
-                for t, c in enumerate(block.text):
-                    if c.isspace():
-                        pending_space = True
-                        continue
-                    if pending_space and stream:
-                        stream.append(StreamChar(" ", None))
+                text = block.text
+                for m in _PIECE_RE.finditer(text):
+                    if (pending_space or m.start()) and pieces:
+                        pieces.append(" ")
+                        size += 1
                     pending_space = False
-                    stream.append(StreamChar(c, block.index, t))
-            if stream and stream[-1].char == "-" and not stream[-1].optional:
-                last = stream[-1]
-                stream[-1] = StreamChar("-", last.b, last.t, optional=True)
+                    starts.append(size)
+                    runs.append((block.index, m.start()))
+                    pieces.append(m.group())
+                    size += len(pieces[-1])
+                if text and text[-1].isspace():
+                    pending_space = True
+            if pieces and pieces[-1][-1] == "-":
+                pieces[-1] = pieces[-1][:-1] + "\n"     # optional hyphen
                 pending_space = False
             else:
                 pending_space = True
-    return stream
+    return Stream("".join(pieces), starts, runs)
 
 
-def _match_at(stream: list[StreamChar], i: int, target: str) -> int | None:
-    """Try to match ``target`` starting at stream index i; returns the index
-    one past the last consumed element, or None.  Optional elements may be
-    consumed or skipped (consumed preferred, with backtracking)."""
-    attempts = [(i, 0)]
-    seen = set()
-    while attempts:
-        k, j = attempts.pop()
-        while True:
-            if j == len(target):
-                return k
-            if k >= len(stream):
-                break
-            element = stream[k]
-            if element.optional:
-                if (k, j) in seen:
-                    break
-                seen.add((k, j))
-                attempts.append((k + 1, j))          # skip branch
-                if element.char == target[j]:
-                    k, j = k + 1, j + 1              # consume branch
-                    continue
-                break
-            if element.char != target[j]:
-                break
-            k, j = k + 1, j + 1
-    return None
+def _pattern(target: str) -> re.Pattern:
+    """Regular expression for ``target`` in the stream text.
+
+    Optional hyphens may be skipped before any character, and each ``-``
+    of the target takes one stream hyphen, literal or optional.  So a run
+    of m ``-`` that ends the target takes the next m stream hyphens.  Any
+    other run of m ``-`` must cover the whole run of stream hyphens it
+    meets: at least m hyphens, at most m of them literal.  Written as
+    these conditions, a failed match does not retry every way of taking
+    or skipping the optional hyphens, which costs time exponential in the
+    length of the run.
+    """
+    parts = []
+    for unit in _UNIT_RE.finditer(target):
+        m = len(unit.group())
+        if unit.group()[0] != "-":
+            parts.append(r"\n*" + re.escape(unit.group()))
+        elif unit.end() == len(target):
+            parts.append(r"[\n-]{%d}" % m)
+        else:
+            parts.append(r"(?=[\n-]{%d})(?:\n*-){0,%d}" % (m, m))
+    return re.compile("".join(parts))
 
 
-def locate_sentence(stream: list[StreamChar], sentence: str,
+def locate_sentence(stream: Stream, sentence: str,
                     warnings: list[str] | None = None) -> HighlightSpan:
     """First occurrence of the sentence in the stream.
 
@@ -114,44 +132,24 @@ def locate_sentence(stream: list[StreamChar], sentence: str,
     target = _normalize(sentence)
     if not target:
         raise PipelineError("cannot locate an empty sentence")
-    matches: list[tuple[int, int]] = []
-    i = 0
-    while i < len(stream):
-        end = _match_at(stream, i, target)
-        if end is not None:
-            matches.append((i, end))
-            if len(matches) > 1:
-                break
-            i = end
-        else:
-            i += 1
-    if not matches:
+    matches = _pattern(target).finditer(stream.text)
+    first = next(matches, None)
+    if first is None:
         raise PipelineError(f"sentence absent from body text: {target[:50]!r}")
-    if len(matches) > 1 and warnings is not None:
+    if warnings is not None and next(matches, None) is not None:
         warnings.append(f"sentence occurs more than once; first match used: "
                         f"{target[:50]!r}")
 
-    first, end = matches[0]
-    anchored = [e for e in stream[first:end] if e.b is not None]
-    blocks: list[int] = []
-    for e in anchored:
-        if not blocks or blocks[-1] != e.b:
-            blocks.append(e.b)
-    return HighlightSpan(start=CharRef(anchored[0].b, anchored[0].t),
-                         end=CharRef(anchored[-1].b, anchored[-1].t),
-                         blocks=tuple(blocks))
+    runs = stream.runs[stream.run(first.start()):
+                       stream.run(first.end() - 1) + 1]
+    return HighlightSpan(start=stream.ref(first.start()),
+                         end=stream.ref(first.end() - 1),
+                         blocks=tuple(dict.fromkeys(b for b, _ in runs)))
 
 
 # ---------------------------------------------------------------------------
 # Injection
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Insertion:
-    pos: int
-    rank: int    # 0 = closing tag, 1 = opening tag (order within one offset)
-    text: str
 
 
 def _block_by_index(doc: ReplicaDocument) -> dict[int, TextBlock]:
@@ -174,9 +172,11 @@ def _char_src(block: TextBlock, t: int) -> tuple[int, int]:
 
 
 def _span_insertions(doc_blocks, span: HighlightSpan, color: str,
-                     ) -> list[_Insertion]:
+                     ) -> list[tuple[int, int, str]]:
+    """(source offset, rank, tag) of each tag the span needs; rank 0, a
+    closing tag, goes before rank 1, an opening tag, at one offset."""
     open_tag = _OPEN_TMPL % color
-    out: list[_Insertion] = []
+    out: list[tuple[int, int, str]] = []
     blocks = span.blocks or tuple(range(span.start.b, span.end.b + 1))
     for b in blocks:
         block = doc_blocks.get(b)
@@ -188,11 +188,11 @@ def _span_insertions(doc_blocks, span: HighlightSpan, color: str,
         if whole and b not in (span.start.b, span.end.b):
             if block.elem_span is None:
                 raise PipelineError(f"block {b} has no element source span")
-            out.append(_Insertion(block.elem_span[0], 1, open_tag))
-            out.append(_Insertion(block.elem_span[1], 0, _CLOSE))
+            out.append((block.elem_span[0], 1, open_tag))
+            out.append((block.elem_span[1], 0, _CLOSE))
         else:
-            out.append(_Insertion(_char_src(block, t_first)[0], 1, open_tag))
-            out.append(_Insertion(_char_src(block, t_last)[1], 0, _CLOSE))
+            out.append((_char_src(block, t_first)[0], 1, open_tag))
+            out.append((_char_src(block, t_last)[1], 0, _CLOSE))
     return out
 
 
@@ -208,14 +208,19 @@ def inject_colors(doc: ReplicaDocument,
             raise PipelineError("overlapping highlight spans")
 
     doc_blocks = _block_by_index(doc)
-    insertions: list[_Insertion] = []
+    insertions: list[tuple[int, int, str]] = []
     for span, color in ordered:
         insertions.extend(_span_insertions(doc_blocks, span, color))
 
     source = doc.source
-    for ins in sorted(insertions, key=lambda i: (i.pos, i.rank), reverse=True):
-        source = source[:ins.pos] + ins.text + source[ins.pos:]
-    return source.encode("utf-8")
+    pieces: list[str] = []
+    done = 0
+    # equal (offset, rank): the insertion listed last goes first
+    for pos, _, tag in sorted(reversed(insertions), key=lambda i: i[:2]):
+        pieces += (source[done:pos], tag)
+        done = pos
+    pieces.append(source[done:])
+    return "".join(pieces).encode("utf-8")
 
 
 def inject_color(doc: ReplicaDocument, span: HighlightSpan,
@@ -243,6 +248,10 @@ def strip_highlights(html: str | bytes) -> bytes:
                 break
         else:
             raise PipelineError("unbalanced highlight span in input")
-    for start, end in sorted(removals, reverse=True):
-        html = html[:start] + html[end:]
-    return html.encode("utf-8")
+    kept: list[str] = []
+    done = 0
+    for start, end in sorted(removals):
+        kept.append(html[done:start])
+        done = end
+    kept.append(html[done:])
+    return "".join(kept).encode("utf-8")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import assembly, columns, metrics, removal, replica
 from .errors import PipelineError
-from .highlight import build_stream
+from .highlight import Stream, build_stream
 from .postag import LexiconTagger, PosTagger
 
 logger = logging.getLogger(__name__)
@@ -38,14 +38,13 @@ class ExtractOptions:
 @dataclass
 class ExtractionResult:
     body: assembly.BodyText
-    text: str
     doc: replica.ReplicaDocument
     tree: metrics.PageLineTree
     model: object
     stats: metrics.DocumentStats
     histogram: columns.SweepHistogram
     log: removal.RemovalLog
-    stream: list = field(default_factory=list)
+    stream: Stream
 
     @property
     def bt_bytes(self) -> bytes:
@@ -109,7 +108,7 @@ def extract_from_document(doc: replica.ReplicaDocument,
     for warning in log.warnings:
         logger.warning("%s", warning)
 
-    return ExtractionResult(body=body, text=body.text, doc=doc, tree=tree,
+    return ExtractionResult(body=body, doc=doc, tree=tree,
                             model=model, stats=stats, histogram=histogram,
                             log=log, stream=stream)
 

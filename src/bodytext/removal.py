@@ -49,13 +49,6 @@ class LineVerdict:
 
 
 @dataclass
-class RemovalState:
-    """Backward-scan state: the predecessor-removed flag."""
-
-    p: bool = False
-
-
-@dataclass
 class RemovalLog:
     """Audit trail of everything removed and why."""
 
@@ -373,7 +366,7 @@ def nbt_tests(line: Line, context: LineContext, stats: DocumentStats,
 
 def backward_removal(tree: PageLineTree, model, stats: DocumentStats,
                      thresholds: Thresholds,
-                     log: RemovalLog | None = None) -> RemovalState:
+                     log: RemovalLog | None = None) -> None:
     """Scan lines backward (last page first; rightmost column bottom-up)
     and apply the flag-threaded rules:
 
@@ -398,41 +391,39 @@ def backward_removal(tree: PageLineTree, model, stats: DocumentStats,
                           LineContext(gap_above, gap_below,
                                       segment.column_left)))
 
-    state = RemovalState(p=False)
+    p = False                   # the predecessor-removed flag
     doomed: set[int] = set()
     for pos in range(len(order) - 1, -1, -1):
         segment, i, line, context = order[pos]
-        p_before = state.p
         verdict = LineVerdict(
             page=segment.page.page_number, column_id=segment.column_id,
             x=line.x, y=line.y, preview=_preview(line.text), removed=False,
-            p_before=p_before)
+            p_before=p)
 
         if _is_page_number(line, segment.page):
             verdict.removed = True
             verdict.reasons = {"page_number"}
-            state.p = True
+            p = True
         else:
             tests = nbt_tests(line, context, stats, thresholds)
             if tests["indentation"] and tests["density"]:
                 verdict.removed = True
                 verdict.reasons = {"rule1"}
-                state.p = True
-            elif not state.p and tests["spacing"] and tests["punctuation"]:
+                p = True
+            elif not p and tests["spacing"] and tests["punctuation"]:
                 verdict.removed = True
                 verdict.reasons = {"rule2"}
-                state.p = False
+                p = False
             else:
-                state.p = False
+                p = False
 
-        verdict.p_after = state.p
+        verdict.p_after = p
         log.lines.append(verdict)
         if verdict.removed:
             doomed.add(id(line))
 
     for page in tree.pages:
         page.lines = [line for line in page.lines if id(line) not in doomed]
-    return state
 
 
 def _is_page_number(line: Line, page) -> bool:

@@ -76,14 +76,13 @@ def test_stream_provenance_covers_output():
         b.index = i
     stream = build_stream(t, single_column_model())
     assert body.paragraphs[0].text == "ab cdef gh ij."
-    assert "".join(e.char for e in stream) == body.paragraphs[0].text
-    for e in stream:
-        if e.b is None:
-            # collapsed and inserted join spaces carry no provenance
-            assert e.char == " " and e.t is None
-        else:
-            assert blocks[e.b].text[e.t] == e.char
-    bs = [e.b for e in stream if e.b is not None]
+    assert stream.text == body.paragraphs[0].text
+    for k, c in enumerate(stream.text):
+        # collapsed and inserted join spaces are not in the run table
+        if c != " ":
+            ref = stream.ref(k)
+            assert blocks[ref.b].text[ref.t] == c
+    bs = [b for b, _ in stream.runs]
     assert bs == sorted(bs)
 
 

@@ -1,6 +1,7 @@
-"""Sentence location in the character stream and span injection."""
+"""Sentence location in the body-text stream and span injection."""
 
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from bodytext.highlight import (build_stream, inject_color,
 from bodytext.metrics import Thresholds, group_lines
 from bodytext.replica import (CharRef, enumerate_blocks, parse_replica,
                               resolve_absolute)
-from helpers import single_column_model
+from helpers import line, single_column_model, tree
 
 T = Thresholds()
 
@@ -90,6 +91,23 @@ def test_locate_kept_hyphen_also_matches():
     assert span.start.b == 0 and span.end.b == 1
 
 
+def test_locate_across_a_run_of_hyphen_lines():
+    # 24 lines of "----": each ends in an optional hyphen, the others stay
+    rows = ([line("a", y=700)]
+            + [line("----", y=686 - 14 * i) for i in range(24)]
+            + [line("b", y=350)])
+    stream = build_stream(tree(rows), single_column_model())
+    assert stream.text == "a " + "---\n" * 24 + "b"
+    assert locate_sentence(stream, "-" * 96 + "b").start.t == 0
+    assert locate_sentence(stream, "a " + "-" * 72 + "b").end.t == 0
+    start = time.perf_counter()
+    for absent in ("a " + "-" * 71 + "b", "-" * 96 + "c"):
+        with pytest.raises(PipelineError):
+            locate_sentence(stream, absent)
+    # retrying each way to take or skip 24 optional hyphens takes seconds
+    assert time.perf_counter() - start < 1.0
+
+
 def test_inject_single_block_minimal_edit():
     doc, t = make_doc([[("xa", "abcdef")]])
     stream = build_stream(t, single_column_model())
@@ -156,7 +174,7 @@ def test_roundtrip_random_docs():
             rows.append(row)
         doc, t = make_doc(rows)
         stream = build_stream(t, single_column_model())
-        target = "".join(e.char for e in stream)
+        target = stream.text.replace("\n", "-")
         target = " ".join(target.split())
         if not target:
             continue
