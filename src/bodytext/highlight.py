@@ -108,13 +108,16 @@ def _pattern(target: str) -> re.Pattern:
     meets: at least m hyphens, at most m of them literal.  Written as
     these conditions, a failed match does not retry every way of taking
     or skipping the optional hyphens, which costs time exponential in the
-    length of the run.
+    length of the run.  A target that opens with any other character
+    opens with that character, so the engine can skip ahead to it; the
+    caller extends such a match back over the optional hyphens before it.
     """
     parts = []
     for unit in _UNIT_RE.finditer(target):
         m = len(unit.group())
         if unit.group()[0] != "-":
-            parts.append(r"\n*" + re.escape(unit.group()))
+            parts.append((r"\n*" if unit.start() else "")
+                         + re.escape(unit.group()))
         elif unit.end() == len(target):
             parts.append(r"[\n-]{%d}" % m)
         else:
@@ -140,9 +143,11 @@ def locate_sentence(stream: Stream, sentence: str,
         warnings.append(f"sentence occurs more than once; first match used: "
                         f"{target[:50]!r}")
 
-    runs = stream.runs[stream.run(first.start()):
-                       stream.run(first.end() - 1) + 1]
-    return HighlightSpan(start=stream.ref(first.start()),
+    start = first.start()
+    while target[0] != "-" and start and stream.text[start - 1] == "\n":
+        start -= 1
+    runs = stream.runs[stream.run(start):stream.run(first.end() - 1) + 1]
+    return HighlightSpan(start=stream.ref(start),
                          end=stream.ref(first.end() - 1),
                          blocks=tuple(dict.fromkeys(b for b, _ in runs)))
 

@@ -8,7 +8,6 @@ density.  Lines are formed greedily from blocks sorted by descending y.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -79,26 +78,30 @@ class DocumentStats:
     base_fs: float
     base_ls: int
     base_cbd: float
-    font_size_histogram: dict[float, int]
-    gap_histogram: dict[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Line:
-    """Blocks on one visual line, ordered left to right by starting x."""
+    """Blocks on one visual line, ordered left to right by starting x.
+
+    ``text`` and ``density`` (non-whitespace characters per block) are
+    computed once, when the line is built; its blocks never change after.
+    """
 
     blocks: list[TextBlock]
     y: float
     column_id: int | None = None
+    text: str = field(init=False)
+    density: float = field(init=False)
+
+    def __post_init__(self):
+        self.text = "".join([b.text for b in self.blocks])
+        self.density = len("".join(self.text.split())) / len(self.blocks)
 
     @property
     def x(self) -> float:
         """Starting x of the leftmost block."""
         return self.blocks[0].x
-
-    @property
-    def text(self) -> str:
-        return "".join(b.text for b in self.blocks)
 
 
 @dataclass
@@ -144,10 +147,10 @@ def font_size_histogram(blocks) -> dict[float, int]:
     return hist
 
 
-def group_lines(blocks, delta1: float,
-                page_dims: dict[int, tuple[float, float]] | None = None,
-                ) -> PageLineTree:
-    """Greedy same-line grouping per page, in decreasing-y order.
+def iter_page_lines(blocks, delta1: float,
+                    page_dims: dict[int, tuple[float, float]] | None = None):
+    """Greedy same-line grouping per page, in decreasing-y order; yields
+    each page's PageLines in page-number order.
 
     A block joins the current line if its y is within delta1 of the line's
     representative y (the y of the first block assigned); otherwise it opens
@@ -158,22 +161,26 @@ def group_lines(blocks, delta1: float,
     for block in blocks:
         by_page.setdefault(block.page_number, []).append(block)
 
-    pages = []
     for number in sorted(by_page):
         width, height = (page_dims or {}).get(number, (0.0, 0.0))
-        page = PageLines(page_number=number, width=width, height=height)
-        ordered = sorted(by_page[number], key=lambda b: (-b.y, b.x, b.index))
-        current: Line | None = None
-        for block in ordered:
-            if current is not None and abs(block.y - current.y) <= delta1:
-                current.blocks.append(block)
+        rows: list[list[TextBlock]] = []
+        for block in sorted(by_page[number],
+                            key=lambda b: (-b.y, b.x, b.index)):
+            if rows and abs(block.y - rows[-1][0].y) <= delta1:
+                rows[-1].append(block)
             else:
-                current = Line(blocks=[block], y=block.y)
-                page.lines.append(current)
-        for line in page.lines:
-            line.blocks.sort(key=lambda b: (b.x, b.index))
-        pages.append(page)
-    return PageLineTree(pages=pages)
+                rows.append([block])
+        yield PageLines(
+            page_number=number, width=width, height=height,
+            lines=[Line(sorted(row, key=lambda b: (b.x, b.index)), row[0].y)
+                   for row in rows])
+
+
+def group_lines(blocks, delta1: float,
+                page_dims: dict[int, tuple[float, float]] | None = None,
+                ) -> PageLineTree:
+    """Every page of iter_page_lines, as one tree."""
+    return PageLineTree(pages=list(iter_page_lines(blocks, delta1, page_dims)))
 
 
 def line_spacing_mode(tree: PageLineTree, model) -> int:
@@ -196,18 +203,9 @@ def gap_histogram(tree: PageLineTree, model) -> dict[int, int]:
     return hist
 
 
-_WS_RE = re.compile(r"\s", re.UNICODE)
-
-
-def char_tbk_density(line: Line) -> float:
-    """Non-whitespace characters per block on the line."""
-    chars = sum(len(_WS_RE.sub("", b.text)) for b in line.blocks)
-    return chars / len(line.blocks)
-
-
 def base_cbd(tree: PageLineTree) -> float:
     """Document average of the per-line character/block density."""
-    densities = [char_tbk_density(line) for line in tree.all_lines()]
+    densities = [line.density for line in tree.all_lines()]
     if not densities:
         raise PipelineError("no lines: cannot compute the density baseline")
     return sum(densities) / len(densities)
@@ -215,13 +213,9 @@ def base_cbd(tree: PageLineTree) -> float:
 
 def compute_stats(blocks, tree: PageLineTree, model,
                   base_fs: float | None = None) -> DocumentStats:
-    """Bundle the three baselines plus their histograms."""
-    fs_hist = font_size_histogram(blocks)
+    """Bundle the three baselines."""
     if base_fs is None:
         base_fs = font_size_mode(blocks)
-    g_hist = gap_histogram(tree, model)
-    if not g_hist:
-        raise PipelineError("insufficient lines: no column has two lines")
-    return DocumentStats(base_fs=base_fs, base_ls=_mode(g_hist),
-                         base_cbd=base_cbd(tree),
-                         font_size_histogram=fs_hist, gap_histogram=g_hist)
+    return DocumentStats(base_fs=base_fs,
+                         base_ls=line_spacing_mode(tree, model),
+                         base_cbd=base_cbd(tree))

@@ -39,7 +39,6 @@ class ExtractOptions:
 class ExtractionResult:
     body: assembly.BodyText
     doc: replica.ReplicaDocument
-    tree: metrics.PageLineTree
     model: object
     stats: metrics.DocumentStats
     histogram: columns.SweepHistogram
@@ -108,9 +107,8 @@ def extract_from_document(doc: replica.ReplicaDocument,
     for warning in log.warnings:
         logger.warning("%s", warning)
 
-    return ExtractionResult(body=body, doc=doc, tree=tree,
-                            model=model, stats=stats, histogram=histogram,
-                            log=log, stream=stream)
+    return ExtractionResult(body=body, doc=doc, model=model, stats=stats,
+                            histogram=histogram, log=log, stream=stream)
 
 
 def _split_parity_model(tree: metrics.PageLineTree,

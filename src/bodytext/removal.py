@@ -13,9 +13,9 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .columns import Segment, bt_area, iter_segments
-from .metrics import (DocumentStats, Line, PageLineTree, Thresholds,
-                      char_tbk_density, group_lines)
+from . import metrics
+from .columns import bt_area, iter_segments
+from .metrics import DocumentStats, Line, PageLineTree, Thresholds
 from .replica import ReplicaDocument, Page, PageObject, TextBlock
 
 # characters accepted as sentence-ending punctuation (straight, curly, CJK)
@@ -138,8 +138,7 @@ def find_abstract_band(blocks: list[TextBlock], delta1: float,
     when set in a smaller face.  Returns (page, y_top, y_bottom), exclusive.
     """
     upright = [b for b in blocks if not b.rotated]
-    tree = group_lines(upright, delta1)
-    for page in tree.pages:
+    for page in metrics.iter_page_lines(upright, delta1):
         for i, line in enumerate(page.lines):
             text = line.text.strip().rstrip(":").strip().lower()
             if text != "abstract":
@@ -167,10 +166,10 @@ def remove_sidings(tree: PageLineTree, model,
     single block starts in the left margin.
     """
     log = log if log is not None else RemovalLog()
+    reasons: dict[int, str] = {}
     for page in tree.pages:
         lo, hi = bt_area(model.for_page(page.page_number))
-        kept_lines = []
-        for line in page.lines:
+        for i, line in enumerate(page.lines):
             kept = []
             for block in line.blocks:
                 x = round(block.x)
@@ -180,15 +179,11 @@ def remove_sidings(tree: PageLineTree, model,
                         preview=_preview(block.text), reasons={"siding"}))
                 else:
                     kept.append(block)
-            if kept:
-                line.blocks = kept
-                kept_lines.append(line)
-            else:
-                log.lines.append(LineVerdict(
-                    page=page.page_number, column_id=line.column_id,
-                    x=line.x, y=line.y, preview=_preview(line.text),
-                    removed=True, reasons={"siding"}))
-        page.lines = kept_lines
+            if not kept:
+                reasons[id(line)] = "siding"
+            elif len(kept) < len(line.blocks):
+                page.lines[i] = Line(kept, line.y, line.column_id)
+    _drop_lines(tree, reasons, log)
 
 
 def remove_references(tree: PageLineTree, model, stats: DocumentStats,
@@ -207,13 +202,12 @@ def remove_references(tree: PageLineTree, model, stats: DocumentStats,
         _remove_references_sweep(tree, model, log)
         return
 
-    segments = iter_segments(tree, model)
     found = False
-    doomed: set[int] = set()
-    for segment in segments:
+    reasons: dict[int, str] = {}
+    for segment in iter_segments(tree, model):
         for i, line in enumerate(segment.lines):
             if found:
-                doomed.add(id(line))
+                reasons[id(line)] = "reference"
                 continue
             text = line.text.strip().lower()
             if text not in _REFERENCE_HEADINGS:
@@ -223,11 +217,11 @@ def remove_references(tree: PageLineTree, model, stats: DocumentStats,
             if first_of_column or (gap_above is not None
                                    and gap_above > stats.base_ls):
                 found = True
-                doomed.add(id(line))
+                reasons[id(line)] = "reference"
     if not found:
         log.warnings.append("no references heading found; nothing removed")
         return
-    _drop_lines(tree, doomed, log, "reference")
+    _drop_lines(tree, reasons, log)
 
 
 def _remove_references_sweep(tree: PageLineTree, model, log: RemovalLog) -> None:
@@ -236,7 +230,7 @@ def _remove_references_sweep(tree: PageLineTree, model, log: RemovalLog) -> None
     Reference entries hang: a numbering block at the column left followed by
     body text at a fixed x, with continuation lines flush to that same x.
     """
-    doomed: set[int] = set()
+    reasons: dict[int, str] = {}
     for segment in iter_segments(tree, model):
         left = segment.column_left
         # candidate nested boundary: most common second-alignment x
@@ -261,12 +255,12 @@ def _remove_references_sweep(tree: PageLineTree, model, log: RemovalLog) -> None
                     j += 1
                 if j - i >= 2:
                     for line in segment.lines[i:j]:
-                        doomed.add(id(line))
+                        reasons[id(line)] = "reference"
                 i = j
             else:
                 i += 1
-    if doomed:
-        _drop_lines(tree, doomed, log, "reference")
+    if reasons:
+        _drop_lines(tree, reasons, log)
     else:
         log.warnings.append("sweep strategy found no reference entries")
 
@@ -293,34 +287,33 @@ def remove_special_lines(tree: PageLineTree, model, thresholds: Thresholds,
     than gamma3.
     """
     log = log if log is not None else RemovalLog()
-    doomed: set[int] = set()
     reasons: dict[int, str] = {}
     for segment in iter_segments(tree, model):
         for line in segment.lines:
             if round(line.x) - segment.column_left > thresholds.gamma2:
-                doomed.add(id(line))
                 reasons[id(line)] = "indent_gamma2"
             elif any(gap > thresholds.gamma3
                      for block in line.blocks
                      for _, gap in block.internal_gaps):
-                doomed.add(id(line))
                 reasons[id(line)] = "whitespace_gamma3"
-    _drop_lines(tree, doomed, log, reasons)
+    _drop_lines(tree, reasons, log)
 
 
-def _drop_lines(tree: PageLineTree, doomed: set[int], log: RemovalLog,
-                reason) -> None:
+def _drop_lines(tree: PageLineTree, reasons: dict[int, str],
+                log: RemovalLog) -> None:
+    """Remove every line keyed by id in ``reasons``, logging its reason,
+    in page order."""
     for page in tree.pages:
         kept = []
         for line in page.lines:
-            if id(line) in doomed:
-                why = reason if isinstance(reason, str) else reason[id(line)]
+            why = reasons.get(id(line))
+            if why is None:
+                kept.append(line)
+            else:
                 log.lines.append(LineVerdict(
                     page=page.page_number, column_id=line.column_id,
                     x=line.x, y=line.y, preview=_preview(line.text),
                     removed=True, reasons={why}))
-            else:
-                kept.append(line)
         page.lines = kept
 
 
@@ -331,7 +324,8 @@ def _drop_lines(tree: PageLineTree, doomed: set[int], log: RemovalLog,
 
 @dataclass
 class LineContext:
-    """Per-line inputs to the four tests, fixed before the scan starts."""
+    """Per-line inputs to the four tests, measured on the lines as they
+    stand when the scan starts."""
 
     gap_above: float | None
     gap_below: float | None
@@ -358,7 +352,7 @@ def nbt_tests(line: Line, context: LineContext, stats: DocumentStats,
 
     return {
         "spacing": above_out and below_out,
-        "density": char_tbk_density(line) < stats.base_cbd / thresholds.gamma5,
+        "density": line.density < stats.base_cbd / thresholds.gamma5,
         "punctuation": not ends_with_punct,
         "indentation": round(line.x) > context.column_left,
     }
@@ -380,50 +374,45 @@ def backward_removal(tree: PageLineTree, model, stats: DocumentStats,
     starts.
     """
     log = log if log is not None else RemovalLog()
-    segments = iter_segments(tree, model)
-    order: list[tuple[Segment, int, Line, LineContext]] = []
-    for segment in segments:
-        for i, line in enumerate(segment.lines):
-            gap_above = segment.lines[i - 1].y - line.y if i > 0 else None
-            gap_below = (line.y - segment.lines[i + 1].y
-                         if i + 1 < len(segment.lines) else None)
-            order.append((segment, i, line,
-                          LineContext(gap_above, gap_below,
-                                      segment.column_left)))
-
     p = False                   # the predecessor-removed flag
-    doomed: set[int] = set()
-    for pos in range(len(order) - 1, -1, -1):
-        segment, i, line, context = order[pos]
-        verdict = LineVerdict(
-            page=segment.page.page_number, column_id=segment.column_id,
-            x=line.x, y=line.y, preview=_preview(line.text), removed=False,
-            p_before=p)
+    removed: set[int] = set()
+    for segment in reversed(iter_segments(tree, model)):
+        lines = segment.lines
+        for i in range(len(lines) - 1, -1, -1):
+            line = lines[i]
+            verdict = LineVerdict(
+                page=segment.page.page_number, column_id=segment.column_id,
+                x=line.x, y=line.y, preview=_preview(line.text),
+                removed=False, p_before=p)
 
-        if _is_page_number(line, segment.page):
-            verdict.removed = True
-            verdict.reasons = {"page_number"}
-            p = True
-        else:
-            tests = nbt_tests(line, context, stats, thresholds)
-            if tests["indentation"] and tests["density"]:
+            if _is_page_number(line, segment.page):
                 verdict.removed = True
-                verdict.reasons = {"rule1"}
+                verdict.reasons = {"page_number"}
                 p = True
-            elif not p and tests["spacing"] and tests["punctuation"]:
-                verdict.removed = True
-                verdict.reasons = {"rule2"}
-                p = False
             else:
-                p = False
+                context = LineContext(
+                    lines[i - 1].y - line.y if i > 0 else None,
+                    line.y - lines[i + 1].y if i + 1 < len(lines) else None,
+                    segment.column_left)
+                tests = nbt_tests(line, context, stats, thresholds)
+                if tests["indentation"] and tests["density"]:
+                    verdict.removed = True
+                    verdict.reasons = {"rule1"}
+                    p = True
+                elif not p and tests["spacing"] and tests["punctuation"]:
+                    verdict.removed = True
+                    verdict.reasons = {"rule2"}
+                    p = False
+                else:
+                    p = False
 
-        verdict.p_after = p
-        log.lines.append(verdict)
-        if verdict.removed:
-            doomed.add(id(line))
+            verdict.p_after = p
+            log.lines.append(verdict)
+            if verdict.removed:
+                removed.add(id(line))
 
     for page in tree.pages:
-        page.lines = [line for line in page.lines if id(line) not in doomed]
+        page.lines = [line for line in page.lines if id(line) not in removed]
 
 
 def _is_page_number(line: Line, page) -> bool:

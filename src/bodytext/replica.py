@@ -204,8 +204,8 @@ class _Node:
     """Builder-side element state while its tag is open."""
 
     __slots__ = ("tag", "attrs", "classes", "inline_style", "start", "children",
-                 "text", "segments", "gaps", "has_structural_child",
-                 "host_text_len")
+                 "text", "text_len", "segments", "gaps",
+                 "has_structural_child", "host_text_len")
 
     def __init__(self, tag, attrs, start):
         self.tag = tag
@@ -216,14 +216,11 @@ class _Node:
         self.start = start
         self.children: list[PageObject] = []
         self.text: list[str] = []
+        self.text_len = 0                # total length of the text pieces
         self.segments: list[TextSegment] = []
         self.gaps: list[tuple[int, float]] = []
         self.has_structural_child = False
         self.host_text_len = 0           # host div's text length at open
-
-    @property
-    def text_len(self) -> int:
-        return sum(len(t) for t in self.text)
 
 
 class _ReplicaParser(HTMLParser):
@@ -236,10 +233,8 @@ class _ReplicaParser(HTMLParser):
         self.stack: list[_Node] = []
         self.top_level: list[PageObject] = []
         self.container_node: PageObject | None = None
-        self._line_offsets = [0]
-        for i, ch in enumerate(source):
-            if ch == "\n":
-                self._line_offsets.append(i + 1)
+        self._line_offsets = [0] + [m.end()
+                                    for m in re.finditer("\n", source)]
         self._unknown: set[str] = set()
 
     # -- position helpers ---------------------------------------------------
@@ -401,6 +396,7 @@ class _ReplicaParser(HTMLParser):
         host.segments.append(TextSegment(host.text_len, len(decoded),
                                          src_start, src_end))
         host.text.append(decoded)
+        host.text_len += len(decoded)
 
     def handle_data(self, data):
         start = self._offset()

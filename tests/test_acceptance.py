@@ -5,6 +5,8 @@ them); the assertions carry the same conditions, so a FAIL line always
 comes with a failing test.
 """
 
+import gc
+import statistics
 import time
 
 from bodytext import pipeline
@@ -137,12 +139,17 @@ def test_criterion_4_runtime_scaling():
     sizes = [1, 2, 4, 8, 16, 32, 48, 64]
     docs = {n: scaling_doc(n) for n in sizes}
     pipeline.extract(docs[1].html, docs[1].css)      # warm-up
-    # the minimum of 5 timings per size, taken in interleaved rounds: the
-    # host's speed drifts by up to 2x in spells shorter than one round
-    rounds = [{n: _timed(docs[n]) for n in sizes} for _ in range(5)]
-    times = {n: min(r[n] for r in rounds) for n in sizes}
+    # 5 interleaved rounds.  The host's speed drifts by up to 2x in spells
+    # shorter than one round, so each timing is divided by the mean of a
+    # fixed probe timed just before and just after it.  R^2 is fitted on
+    # the median of those ratios (a minimum would pick the timings whose
+    # probes missed a spell); the time bound takes the minimum raw time
+    rounds = [{n: _timed_and_scaled(docs[n]) for n in sizes}
+              for _ in range(5)]
+    times = {n: min(r[n][0] for r in rounds) for n in sizes}
+    scaled = {n: statistics.median(r[n][1] for r in rounds) for n in sizes}
     xs = sizes
-    ys = [times[n] for n in sizes]
+    ys = [scaled[n] for n in sizes]
     n = len(xs)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
@@ -157,10 +164,32 @@ def test_criterion_4_runtime_scaling():
              f"R^2={r2:.4f}, 64 pages in {times[64] * 1000:.0f}ms")
 
 
-def _timed(fixture):
+_PROBE_TEXT = "the quick brown fox jumps over the lazy dog, " * 500
+
+
+def _probe() -> float:
+    """Seconds a fixed piece of pure-Python work takes right now, with the
+    cyclic garbage collector off so the heap's size does not enter it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        pieces = [(c, i) for i, c in enumerate(_PROBE_TEXT)
+                  if not c.isspace()]
+        "".join(c for c, _ in pieces)
+        return time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _timed_and_scaled(fixture) -> tuple[float, float]:
+    """Raw seconds of one extract, and those seconds over the probe."""
+    before = _probe()
     start = time.perf_counter()
     pipeline.extract(fixture.html, fixture.css)
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return seconds, seconds / ((before + _probe()) / 2)
 
 
 def test_criterion_5_highlight_integrity():

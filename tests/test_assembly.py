@@ -13,8 +13,7 @@ T = Thresholds()
 
 
 def stats(base_ls=14):
-    return DocumentStats(base_fs=12.0, base_ls=base_ls, base_cbd=40.0,
-                         font_size_histogram={}, gap_histogram={})
+    return DocumentStats(base_fs=12.0, base_ls=base_ls, base_cbd=40.0)
 
 
 def assemble_rows(rows, **kw):

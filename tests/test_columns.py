@@ -133,8 +133,7 @@ def _two_col_rows():
     rows = []
     y = 700.0
     for i in range(6):
-        rows.append(line([f"L{i}"], y=y, x=72))
-        rows[-1].blocks.append(block(f"R{i}", x=312, y=y))
+        rows.append(line([f"L{i}", f"R{i}"], y=y, x=72, step=240))
         y -= 14
     return rows
 
@@ -152,16 +151,13 @@ def test_assign_spanning_region():
     rows = []
     y = 700.0
     for i in range(3):   # wide abstract rows: second block beyond c2
-        ln = line([f"A{i} first part"], y=y, x=150)
-        ln.blocks.append(block("tail", x=350, y=y))
-        rows.append(ln)
+        rows.append(line([f"A{i} first part", "tail"], y=y, x=150,
+                         step=200))
         y -= 12
     rows.append(line(["short closer"], y=y, x=150))  # absorbed
     y -= 22
     for i in range(4):
-        row = line([f"L{i}"], y=y, x=72)
-        row.blocks.append(block(f"R{i}", x=312, y=y))
-        rows.append(row)
+        rows.append(line([f"L{i}", f"R{i}"], y=y, x=72, step=240))
         y -= 14
     t = tree(rows)
     assign_columns(t, two_column_model(), T)

@@ -10,6 +10,10 @@ from __future__ import annotations
 import time
 
 from bodytext.assembly import segment_sentences
+from bodytext.highlight import HighlightSpan, inject_colors, strip_highlights
+from bodytext.replica import (CharRef, enumerate_blocks, parse_replica,
+                              resolve_absolute)
+from fixtures import scaling_doc
 
 RATIO_BOUND = 16
 
@@ -36,3 +40,26 @@ def _paragraph(chars: int) -> str:
 def test_segment_sentences_linear():
     ratio = _ratio(segment_sentences, _paragraph, 40_000)
     assert ratio < RATIO_BOUND, f"8x longer paragraph took {ratio:.1f}x"
+
+
+def _whole_block_spans(pages: int):
+    """``scaling_doc(pages)`` and one span over each whole block, built
+    without locating anything."""
+    fixture = scaling_doc(pages)
+    doc = resolve_absolute(parse_replica(fixture.html, fixture.css))
+    spans = [(HighlightSpan(CharRef(b.index, 0),
+                            CharRef(b.index, len(b.text) - 1), (b.index,)),
+              "#ff0000")
+             for b in enumerate_blocks(doc) if b.text]
+    return doc, spans
+
+
+def test_inject_colors_linear():
+    ratio = _ratio(lambda arg: inject_colors(*arg), _whole_block_spans, 8)
+    assert ratio < RATIO_BOUND, f"8x more pages took {ratio:.1f}x"
+
+
+def test_strip_highlights_linear():
+    ratio = _ratio(strip_highlights,
+                   lambda pages: inject_colors(*_whole_block_spans(pages)), 8)
+    assert ratio < RATIO_BOUND, f"8x more pages took {ratio:.1f}x"

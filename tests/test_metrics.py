@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bodytext.errors import FormatError, PipelineError
-from bodytext.metrics import (Thresholds, base_cbd, char_tbk_density,
-                              font_size_histogram, font_size_mode,
-                              gap_histogram, group_lines, line_spacing_mode)
+from bodytext.metrics import (Thresholds, base_cbd, font_size_histogram,
+                              font_size_mode, gap_histogram, group_lines,
+                              line_spacing_mode)
 from helpers import block, line, single_column_model, tree
 
 
@@ -187,17 +187,17 @@ def test_line_spacing_insufficient_lines():
 # -- density -------------------------------------------------------------------
 
 def test_density_single_block():
-    assert char_tbk_density(line(["Hello world."])) == 11
+    assert line(["Hello world."]).density == 11
 
 
 def test_density_formula():
     ln = line(["E", "=", "mc", "2"])
-    assert char_tbk_density(ln) == pytest.approx(1.25)
+    assert ln.density == pytest.approx(1.25)
 
 
 def test_density_unicode_whitespace_excluded():
     ln = line(["a b c"])          # nbsp and space both excluded
-    assert char_tbk_density(ln) == 3
+    assert ln.density == 3
 
 
 def test_density_matches_scan_oracle():
@@ -209,7 +209,7 @@ def test_density_matches_scan_oracle():
                  for _ in range(rng.randint(1, 6))]
         ln = line(texts)
         want = sum(1 for t in texts for ch in t if not ch.isspace()) / len(texts)
-        assert char_tbk_density(ln) == pytest.approx(want)
+        assert ln.density == pytest.approx(want)
 
 
 # -- document average ----------------------------------------------------------

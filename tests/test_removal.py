@@ -2,7 +2,7 @@
 
 import random
 
-from bodytext.metrics import DocumentStats, Thresholds
+from bodytext.metrics import DocumentStats, Line, Thresholds
 from bodytext.removal import (LineContext, RemovalLog, backward_removal,
                               find_abstract_band, nbt_tests, remove_references,
                               remove_sidings, remove_special_lines,
@@ -15,8 +15,7 @@ T = Thresholds()
 
 
 def stats(base_fs=12.0, base_ls=14, base_cbd=40.0):
-    return DocumentStats(base_fs=base_fs, base_ls=base_ls, base_cbd=base_cbd,
-                         font_size_histogram={}, gap_histogram={})
+    return DocumentStats(base_fs=base_fs, base_ls=base_ls, base_cbd=base_cbd)
 
 
 def doc_of(objects):
@@ -113,10 +112,22 @@ def test_sidings_paired_gutter_numbers():
     assert [ln.text for ln in t.pages[0].lines] == ["body line"]
 
 
+def test_sidings_partial_line_measures_only_kept_blocks():
+    ln = line(["12", "kept words", "x"], y=700, x=40, column_id=0, step=60)
+    t = tree([ln])
+    log = RemovalLog()
+    remove_sidings(t, single_column_model(), log)
+    (kept,) = t.pages[0].lines
+    assert [b.text for b in kept.blocks] == ["kept words", "x"]
+    assert kept.text == "kept wordsx"
+    assert kept.density == 5          # (9 + 1) characters over 2 blocks
+    assert [v.preview for v in log.blocks] == ["12"]
+    assert log.lines == []
+
+
 def Line_merge(a, b):
-    a.blocks.extend(b.blocks)
-    a.blocks.sort(key=lambda blk: blk.x)
-    return a
+    return Line(sorted(a.blocks + b.blocks, key=lambda blk: blk.x), a.y,
+                a.column_id)
 
 
 def test_sidings_noop_without_margin_content():
@@ -189,9 +200,8 @@ def test_references_sweep_strategy():
     rows = [line(["Body text stays in place."], y=700)]
     y = 660
     for i in (1, 2):
-        entry = line([f"[{i}]"], y=y, x=72)
-        entry.blocks.append(block("A. Writer. Title.", x=94, y=y))
-        rows.append(entry)
+        rows.append(Line([block(f"[{i}]", x=72, y=y),
+                          block("A. Writer. Title.", x=94, y=y)], y=y))
         rows.append(line(["continuation of the entry."], y=y - 14, x=94))
         y -= 34
     t = tree(rows)
