@@ -81,15 +81,15 @@ def score(extracted: str | bytes, gold: str | bytes,
         raise FormatError("gold body text is empty")
 
     report = EvalReport(name=name)
-    ext_sentences = [_normalize(s) for p in ext_paragraphs
-                     for s in segment_sentences(p)]
-    gold_sentences = [_normalize(s) for p in gold_paragraphs
-                      for s in segment_sentences(p)]
-    report.categories["sentences"] = _match_sentences(ext_sentences,
-                                                      gold_sentences)
+    ext_split = [[_normalize(s) for s in segment_sentences(p)]
+                 for p in ext_paragraphs]
+    gold_split = [[_normalize(s) for s in segment_sentences(p)]
+                  for p in gold_paragraphs]
+    report.categories["sentences"] = _match_sentences(
+        [s for ss in ext_split for s in ss], [s for ss in gold_split for s in ss])
 
-    ext_firsts = [_normalize(segment_sentences(p)[0]) for p in ext_paragraphs]
-    gold_firsts = [_normalize(segment_sentences(p)[0]) for p in gold_paragraphs]
+    ext_firsts = [ss[0] for ss in ext_split]
+    gold_firsts = [ss[0] for ss in gold_split]
     matched = Counter(ext_firsts) & Counter(gold_firsts)
     tp = sum(matched.values())
     report.categories["paragraphs"] = CategoryCounts(

@@ -7,11 +7,10 @@ whitespace-free piece its (block, offset) source.  An end-of-line hyphen
 is written as ``"\\n"``: it may match ``-`` or nothing, so sentences taken
 from the dehyphenated output still match.  A sentence is located by
 compiling it into a regular expression that allows those optional hyphens
-anywhere.  Injection wraps the matched range in ``<span class="hl"
-style="color:...">`` tags: partial coverage of the boundary blocks at the
-text level, whole middle blocks at the element level.  Every other byte of
-the replica is left untouched, so stripping the tags restores the original
-exactly.
+anywhere.  Injection wraps each run of source text the matched range
+covers in ``<span class="hl" style="color:...">`` tags, so no wrap holds a
+tag.  Every other byte of the replica is left untouched, so removing the
+wraps restores the original exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 from .assembly import _normalize
 from .columns import iter_segments
-from .errors import PipelineError
+from .errors import FormatError, PipelineError
 from .metrics import PageLineTree
 from .replica import CharRef, ReplicaDocument, TextBlock
 
@@ -31,6 +30,9 @@ _OPEN_TMPL = '<span class="%s" style="color:%s">' % (HL_CLASS, "%s")
 _CLOSE = "</span>"
 _PIECE_RE = re.compile(r"\S+")
 _UNIT_RE = re.compile(r"-+|[^-]")     # a run of '-' or one other character
+_COLOR_RE = re.compile(r"#?[0-9A-Za-z]+")
+_OPEN_RE = re.compile(re.escape(_OPEN_TMPL).replace("%s", '[^"]*'))
+_WRAP_RE = re.compile(_OPEN_RE.pattern + "(.*?)" + re.escape(_CLOSE), re.S)
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,21 +167,15 @@ def _block_by_index(doc: ReplicaDocument) -> dict[int, TextBlock]:
     return blocks
 
 
-def _char_src(block: TextBlock, t: int) -> tuple[int, int]:
-    """Source range of character ``t`` of the block's text."""
-    for seg in block.segments:
-        if seg.text_offset <= t < seg.text_offset + seg.length:
-            if seg.length == seg.src_end - seg.src_start:
-                off = seg.src_start + (t - seg.text_offset)
-                return (off, off + 1)
-            return (seg.src_start, seg.src_end)     # character reference
-    raise PipelineError(f"block {block.index}: no source for offset {t}")
-
-
 def _span_insertions(doc_blocks, span: HighlightSpan, color: str,
                      ) -> list[tuple[int, int, str]]:
     """(source offset, rank, tag) of each tag the span needs; rank 0, a
-    closing tag, goes before rank 1, an opening tag, at one offset."""
+    closing tag, goes before rank 1, an opening tag, at one offset.
+
+    Each text segment the span covers gets one wrap; a character reference
+    is covered whole, and a wrap that starts where the previous one ends
+    extends it.
+    """
     open_tag = _OPEN_TMPL % color
     out: list[tuple[int, int, str]] = []
     blocks = span.blocks or tuple(range(span.start.b, span.end.b + 1))
@@ -188,16 +184,20 @@ def _span_insertions(doc_blocks, span: HighlightSpan, color: str,
         if block is None:
             raise PipelineError(f"highlight references unknown block {b}")
         t_first = span.start.t if b == span.start.b else 0
-        t_last = span.end.t if b == span.end.b else len(block.text) - 1
-        whole = t_first == 0 and t_last == len(block.text) - 1
-        if whole and b not in (span.start.b, span.end.b):
-            if block.elem_span is None:
-                raise PipelineError(f"block {b} has no element source span")
-            out.append((block.elem_span[0], 1, open_tag))
-            out.append((block.elem_span[1], 0, _CLOSE))
-        else:
-            out.append((_char_src(block, t_first)[0], 1, open_tag))
-            out.append((_char_src(block, t_last)[1], 0, _CLOSE))
+        t_end = span.end.t + 1 if b == span.end.b else len(block.text)
+        for seg in block.segments:
+            lo = max(t_first, seg.text_offset) - seg.text_offset
+            hi = min(t_end, seg.text_offset + seg.length) - seg.text_offset
+            if lo >= hi:
+                continue
+            if seg.length == seg.src_end - seg.src_start:
+                start, end = seg.src_start + lo, seg.src_start + hi
+            else:
+                start, end = seg.src_start, seg.src_end
+            if out and out[-1][0] == start:
+                out[-1] = (end, 0, _CLOSE)
+            else:
+                out += [(start, 1, open_tag), (end, 0, _CLOSE)]
     return out
 
 
@@ -206,7 +206,14 @@ def inject_colors(doc: ReplicaDocument,
     """Apply all highlight spans to the original markup in one pass.
 
     Spans must not overlap; the output is independent of their order.
+    Refuses a source that already holds highlight wraps, since stripping
+    would remove those too.
     """
+    for _, color in spans:
+        if not _COLOR_RE.fullmatch(color):
+            raise FormatError(f"invalid color {color!r}")
+    if _OPEN_RE.search(doc.source):
+        raise PipelineError("the replica already holds highlight spans")
     ordered = sorted(spans, key=lambda sc: (sc[0].start.b, sc[0].start.t))
     for (a, _), (b, _) in zip(ordered, ordered[1:]):
         if (b.start.b, b.start.t) <= (a.end.b, a.end.t):
@@ -234,29 +241,14 @@ def inject_color(doc: ReplicaDocument, span: HighlightSpan,
     return inject_colors(doc, [(span, color)])
 
 
-_OPEN_RE = re.compile(re.escape('<span class="%s"' % HL_CLASS) + r'[^>]*>')
-_ANY_SPAN_RE = re.compile(r"<span\b[^>]*>|</span>")
-
-
 def strip_highlights(html: str | bytes) -> bytes:
-    """Remove injected highlight tags, restoring the pre-injection bytes."""
+    """Remove injected highlight tags, restoring the pre-injection bytes.
+
+    A wrap holds only text, so each one ends at the next ``</span>``.
+    """
     if isinstance(html, bytes):
         html = html.decode("utf-8")
-    removals: list[tuple[int, int]] = []
-    for m in _OPEN_RE.finditer(html):
-        depth = 1
-        for tok in _ANY_SPAN_RE.finditer(html, m.end()):
-            depth += 1 if tok.group().startswith("<span") else -1
-            if depth == 0:
-                removals.append((m.start(), m.end()))
-                removals.append((tok.start(), tok.end()))
-                break
-        else:
-            raise PipelineError("unbalanced highlight span in input")
-    kept: list[str] = []
-    done = 0
-    for start, end in sorted(removals):
-        kept.append(html[done:start])
-        done = end
-    kept.append(html[done:])
-    return "".join(kept).encode("utf-8")
+    html = _WRAP_RE.sub(r"\1", html)
+    if _OPEN_RE.search(html):
+        raise PipelineError("unbalanced highlight span in input")
+    return html.encode("utf-8")

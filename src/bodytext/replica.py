@@ -67,7 +67,6 @@ class TextBlock:
     absolute_start: tuple[float, float] | None = None
     index: int = -1                      # document-order index (CharRef.b)
     page_number: int = 0
-    elem_span: tuple[int, int] | None = None
     segments: list[TextSegment] = field(default_factory=list)
 
     @property
@@ -96,6 +95,7 @@ class CharRef:
 class PageObject:
     kind: str                            # text_block | image | line | container
     relative_start: tuple[float, float] = (0.0, 0.0)
+    top: float | None = None             # top-origin y, when no bottom given
     width: float | None = None
     height: float | None = None
     children: list["PageObject"] = field(default_factory=list)
@@ -203,23 +203,20 @@ _STYLE_BLOCK_RE = re.compile(r"<style[^>]*>(.*?)</style>", re.S | re.I)
 class _Node:
     """Builder-side element state while its tag is open."""
 
-    __slots__ = ("tag", "attrs", "classes", "inline_style", "start", "children",
-                 "text", "text_len", "segments", "gaps",
-                 "has_structural_child", "host_text_len")
+    __slots__ = ("tag", "attrs", "classes", "inline_style", "children",
+                 "text", "text_len", "segments", "gaps", "host_text_len")
 
-    def __init__(self, tag, attrs, start):
+    def __init__(self, tag, attrs):
         self.tag = tag
         self.attrs = dict(attrs)
         cls = self.attrs.get("class") or ""
         self.classes = cls.split()
         self.inline_style = self.attrs.get("style") or ""
-        self.start = start
         self.children: list[PageObject] = []
         self.text: list[str] = []
         self.text_len = 0                # total length of the text pieces
         self.segments: list[TextSegment] = []
         self.gaps: list[tuple[int, float]] = []
-        self.has_structural_child = False
         self.host_text_len = 0           # host div's text length at open
 
 
@@ -232,7 +229,6 @@ class _ReplicaParser(HTMLParser):
         self.warnings: list[str] = []
         self.stack: list[_Node] = []
         self.top_level: list[PageObject] = []
-        self.container_node: PageObject | None = None
         self._line_offsets = [0] + [m.end()
                                     for m in re.finditer("\n", source)]
         self._unknown: set[str] = set()
@@ -272,7 +268,7 @@ class _ReplicaParser(HTMLParser):
         if tag in _VOID_TAGS:
             self.handle_startendtag(tag, attrs)
             return
-        node = _Node(tag, attrs, self._offset())
+        node = _Node(tag, attrs)
         if tag == "span":
             host = self._nearest_div()
             node.host_text_len = host.text_len if host else 0
@@ -281,7 +277,7 @@ class _ReplicaParser(HTMLParser):
     def handle_startendtag(self, tag, attrs):
         if tag != "img":
             return
-        node = _Node(tag, attrs, self._offset())
+        node = _Node(tag, attrs)
         props = self._resolve(node)
         obj = PageObject(
             kind="image",
@@ -301,10 +297,8 @@ class _ReplicaParser(HTMLParser):
                 f"mismatched closing tag </{tag}> (open element is "
                 f"<{self.stack[-1].tag}>)")
         node = self.stack.pop()
-        end = self.source.find(">", self._offset())
-        elem_end = (end + 1) if end >= 0 else len(self.source)
         if tag == "div":
-            self._close_div(node, elem_end)
+            self._close_div(node)
         elif tag == "span":
             self._close_span(node)
         # other elements (html, body, head, ...) are transparent
@@ -319,11 +313,11 @@ class _ReplicaParser(HTMLParser):
         if "width" in props:
             host.gaps.append((node.host_text_len, float(props["width"])))
 
-    def _close_div(self, node: _Node, elem_end: int):
+    def _close_div(self, node: _Node):
         props = self._resolve(node)
         text = "".join(node.text)
-        rel = (float(props.get("left", 0.0)), self._rel_y(props))
-        if node.has_structural_child or node.children:
+        rel = (float(props.get("left", 0.0)), float(props.get("bottom", 0.0)))
+        if node.children:
             kind = "container"
             if text.strip():
                 self.warnings.append(
@@ -338,7 +332,6 @@ class _ReplicaParser(HTMLParser):
                 font_size=float(props.get("font-size", 0.0)),
                 rotation=props.get("transform", IDENTITY),
                 internal_gaps=node.gaps,
-                elem_span=(node.start, elem_end),
                 segments=node.segments,
             )
             if "\n" in text:
@@ -356,15 +349,9 @@ class _ReplicaParser(HTMLParser):
             obj = PageObject(kind="container", relative_start=rel,
                              width=props.get("width"), height=props.get("height"))
         obj.attrs = node.attrs
+        if "top" in props and "bottom" not in props:
+            obj.top = float(props["top"])
         self._attach(obj)
-
-    def _rel_y(self, props) -> float:
-        if "bottom" in props:
-            return float(props["bottom"])
-        if "top" in props:
-            # converted later, once the page height is known; negative marker
-            return -1e9 - float(props["top"])
-        return 0.0
 
     def _nearest_div(self) -> _Node | None:
         for node in reversed(self.stack):
@@ -380,7 +367,6 @@ class _ReplicaParser(HTMLParser):
             self.top_level.append(obj)
         else:
             host.children.append(obj)
-            host.has_structural_child = True
 
     # -- character data -------------------------------------------------------
 
@@ -479,7 +465,6 @@ def parse_replica(html, css=(), *, strict: bool = False) -> ReplicaDocument:
             doc.warnings.append(
                 f"page {page.number} size {page.width}x{page.height} differs "
                 f"from page 1")
-        _convert_top_origin(page, doc)
     return doc
 
 
@@ -506,21 +491,6 @@ def _page_number(attrs) -> int | None:
         except ValueError:
             return None
     return None
-
-
-def _convert_top_origin(page: Page, doc: ReplicaDocument):
-    # 'top'-styled nodes were stored as -(1e9 + top); flip them now that the
-    # page height is known: y = page_height - top - height.
-    stack = list(page.objects)
-    while stack:
-        obj = stack.pop()
-        x, y = obj.relative_start
-        if y <= -1e9 + 1:
-            top = -(y + 1e9)
-            height = obj.height or (obj.block.height if obj.block else 0.0)
-            obj.relative_start = (x, page.height - top - (height or 0.0))
-            doc.warnings.append("converted a top-origin coordinate")
-        stack.extend(obj.children)
 
 
 def load_replica(html_path, css=None, *, strict: bool = False) -> ReplicaDocument:
@@ -559,7 +529,8 @@ def resolve_absolute(doc: ReplicaDocument) -> ReplicaDocument:
     """Assign absolute starting points by breadth-first accumulation.
 
     First-level objects keep their coordinates; deeper objects add the
-    parent's absolute starting point.  Always recomputed from the relative
+    parent's absolute starting point.  A top-origin object's relative y is
+    ``page height - top - height``.  Always recomputed from the relative
     coordinates, so applying it twice equals applying it once.
     """
     for page in doc.pages:
@@ -568,11 +539,14 @@ def resolve_absolute(doc: ReplicaDocument) -> ReplicaDocument:
         while queue:
             next_queue = []
             for obj, parent_abs in queue:
-                if parent_abs is None:
-                    absolute = obj.relative_start
-                else:
-                    absolute = (obj.relative_start[0] + parent_abs[0],
-                                obj.relative_start[1] + parent_abs[1])
+                absolute = obj.relative_start
+                if obj.top is not None:
+                    absolute = (absolute[0],
+                                page.height - obj.top - (obj.height or 0.0))
+                    doc.warnings.append("converted a top-origin coordinate")
+                if parent_abs is not None:
+                    absolute = (absolute[0] + parent_abs[0],
+                                absolute[1] + parent_abs[1])
                 obj.absolute_start = absolute
                 if obj.block is not None:
                     obj.block.absolute_start = absolute

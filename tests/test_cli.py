@@ -132,6 +132,14 @@ def test_highlight_mismatched_colors(fixture_files):
     assert code == 2
 
 
+def test_highlight_color_with_markup_is_format_error(fixture_files):
+    tmp, fx = fixture_files
+    code = main(["highlight", str(tmp / "doc.html"), "-o",
+                 str(tmp / "x.html"), "--sentence", fx.gold.splitlines()[0],
+                 "--color", 'red">x'])
+    assert code == 2
+
+
 def test_sweep_debug_stdout(fixture_files, capsys):
     tmp, fx = fixture_files
     assert main(["sweep-debug", str(tmp / "doc.html")]) == 0

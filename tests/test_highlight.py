@@ -1,6 +1,7 @@
 """Sentence location in the body-text stream and span injection."""
 
 import random
+import re
 import time
 
 import pytest
@@ -22,15 +23,32 @@ CSS = """
 .hh{height:14px}.fs{font-size:12px}
 .xa{left:72px}.xb{left:200px}.xc{left:320px}
 .y1{bottom:700px}.y2{bottom:686px}.y3{bottom:672px}
+.ff{font-family:serif}
 """
 
 
-def make_doc(rows):
-    """rows: list of lists of (xclass, text) per line, one page."""
+def _markup(text, rng):
+    """``text`` as the converter may write it: some words in an inline
+    span, some characters as character references."""
+    words = []
+    for word in text.split(" "):
+        word = "".join(f"&#{ord(c)};" if rng.random() < 0.2 else c
+                       for c in word)
+        if word and rng.random() < 0.3:
+            word = f'<span class="ff">{word}</span>'
+        words.append(word)
+    return " ".join(words)
+
+
+def make_doc(rows, rng=None):
+    """rows: list of lists of (xclass, text) per line, one page.  Given a
+    random generator, the text is written through ``_markup``."""
     body = ""
     ys = ["y1", "y2", "y3"]
     for i, row in enumerate(rows):
         for xcls, text in row:
+            if rng is not None:
+                text = _markup(text, rng)
             body += f'<div class="t {xcls} {ys[i]} hh fs">{text}</div>'
     html = ('<div id="page-container">'
             f'<div id="pf1" class="pf w0 h0" data-page-no="1">{body}</div>'
@@ -163,16 +181,14 @@ def test_roundtrip_random_docs():
     xcls = ["xa", "xb", "xc"]
     for _ in range(1000):
         rows = []
-        words = []
         for r in range(rng.randint(1, 3)):
             row = []
             for c in range(rng.randint(1, 3)):
                 text = "".join(rng.choice("abcd ef") for _ in range(
                     rng.randint(3, 10))).strip() or "x"
                 row.append((xcls[c], text))
-                words.append(text)
             rows.append(row)
-        doc, t = make_doc(rows)
+        doc, t = make_doc(rows, rng)
         stream = build_stream(t, single_column_model())
         target = stream.text.replace("\n", "-")
         target = " ".join(target.split())
@@ -184,8 +200,26 @@ def test_roundtrip_random_docs():
         if not piece:
             continue
         span = locate_sentence(stream, piece)
-        out = inject_color(doc, span, "#abc")
+        out = inject_color(doc, span, "#abc").decode()
         assert strip_highlights(out) == doc.source.encode()
+        # each wrap holds text only, so it nests inside the inline spans
+        assert all("<" not in wrapped for wrapped in
+                   re.findall(r'<span class="hl"[^>]*>(.*?)</span>', out))
+
+
+def test_inject_refuses_highlighted_source():
+    # stripping would remove the wrap that was already there as well
+    doc, t = make_doc([[("xa", 'plain <span class="hl" style="color:#f00">'
+                               'red</span> text')]])
+    stream = build_stream(t, single_column_model())
+    span = locate_sentence(stream, "plain")
+    with pytest.raises(PipelineError):
+        inject_color(doc, span, "#0f0")
+
+
+def test_strip_unclosed_wrap_raises():
+    with pytest.raises(PipelineError):
+        strip_highlights('<div><span class="hl" style="color:#f00">ab</div>')
 
 
 def test_gap_span_inside_highlight_nests():

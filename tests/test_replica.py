@@ -232,11 +232,14 @@ def test_out_of_bounds_flagged_not_dropped():
 
 
 def test_top_origin_fallback():
-    css = CSS + ".tp { top: 78px; }"
-    html = page_html('<div class="t x1 tp hh fs">converted</div>')
+    css = CSS + ".tp { top: 78px; } .tn { top: -5px; }"
+    html = page_html('<div class="t x1 tp hh fs">converted</div>'
+                     '<div class="t x1 tn hh fs">above</div>')
     doc = resolve_absolute(parse_replica(html, css))
-    # y = page_height - top - height = 792 - 78 - 14
-    assert enumerate_blocks(doc)[0].absolute_start == (72.0, 700.0)
+    # y = page_height - top - height = 792 - 78 - 14, and 792 + 5 - 14
+    assert [b.absolute_start for b in enumerate_blocks(doc)] == [
+        (72.0, 700.0), (72.0, 783.0)]
+    assert doc.warnings.count("converted a top-origin coordinate") == 2
 
 
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
