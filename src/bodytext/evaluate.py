@@ -108,15 +108,17 @@ def score(extracted: str | bytes, gold: str | bytes,
 
 
 def _match_sentences(extracted: list[str], gold: list[str]) -> CategoryCounts:
-    matched = Counter(extracted) & Counter(gold)
+    ext_counts, gold_counts = Counter(extracted), Counter(gold)
+    matched = ext_counts & gold_counts
     tp = sum(matched.values())
     counts = CategoryCounts(tp=tp, fp=len(extracted) - tp, fn=len(gold) - tp)
 
-    leftover_ext = list((Counter(extracted) - matched).elements())
-    leftover_gold = list((Counter(gold) - matched).elements())
+    # the intersection took every string both sides share, so no leftover
+    # extracted sentence equals a leftover gold one
+    leftover_ext = list((ext_counts - matched).elements())
+    leftover_gold = list((gold_counts - matched).elements())
     for sentence in leftover_ext:
-        if any(sentence != g and (sentence in g or g in sentence)
-               for g in leftover_gold):
+        if any(sentence in g or g in sentence for g in leftover_gold):
             counts.fp_incomplete += 1
         else:
             counts.fp_extra += 1

@@ -2,15 +2,19 @@
 markup.
 
 The stream is the text of the kept lines in reading order, with every
-whitespace run collapsed to one space, plus a run table that gives each
-whitespace-free piece its (block, offset) source.  An end-of-line hyphen
-is written as ``"\\n"``: it may match ``-`` or nothing, so sentences taken
-from the dehyphenated output still match.  A sentence is located by
-compiling it into a regular expression that allows those optional hyphens
-anywhere.  Injection wraps each run of source text the matched range
-covers in ``<span class="hl" style="color:...">`` tags, so no wrap holds a
-tag.  Every other byte of the replica is left untouched, so removing the
-wraps restores the original exactly.
+whitespace run collapsed to one space, plus a run table that gives the
+source (block, offset) of each run: a stretch of a block whose words are
+joined by single spaces, so that within it stream and block offsets map
+1:1.  An end-of-line hyphen is written as ``"\\n"``: it may match ``-`` or
+nothing, so sentences taken from the dehyphenated output still match.
+The stream also keeps its flat text, with those optional hyphens removed.
+A sentence with no ``-`` can only skip optional hyphens, so it is located
+by substring search in the flat text; a sentence with a ``-`` is compiled
+into a regular expression that lets each ``-`` take a literal or an
+optional hyphen.  Injection wraps each run of source text the matched
+range covers in ``<span class="hl" style="color:...">`` tags, so no wrap
+holds a tag.  Every other byte of the replica is left untouched, so
+removing the wraps restores the original exactly.
 """
 
 from __future__ import annotations
@@ -23,12 +27,11 @@ from .assembly import _normalize
 from .columns import iter_segments
 from .errors import FormatError, PipelineError
 from .metrics import PageLineTree
-from .replica import CharRef, ReplicaDocument, TextBlock
+from .replica import HL_CLASS, CharRef, ReplicaDocument, TextBlock
 
-HL_CLASS = "hl"
 _OPEN_TMPL = '<span class="%s" style="color:%s">' % (HL_CLASS, "%s")
 _CLOSE = "</span>"
-_PIECE_RE = re.compile(r"\S+")
+_PIECE_RE = re.compile(r"\S+(?: \S+)*")  # a single-spaced stretch
 _UNIT_RE = re.compile(r"-+|[^-]")     # a run of '-' or one other character
 _COLOR_RE = re.compile(r"#?[0-9A-Za-z]+")
 _OPEN_RE = re.compile(re.escape(_OPEN_TMPL).replace("%s", '[^"]*'))
@@ -37,12 +40,17 @@ _WRAP_RE = re.compile(_OPEN_RE.pattern + "(.*?)" + re.escape(_CLOSE), re.S)
 
 @dataclass(frozen=True, slots=True)
 class Stream:
-    """Stream text and its run table: the piece starting at stream offset
-    ``starts[i]`` is block ``runs[i][0]`` from offset ``runs[i][1]``."""
+    """Stream text and its run table: the run starting at stream offset
+    ``starts[i]`` is block ``runs[i][0]`` from offset ``runs[i][1]``.
+    ``flat`` is ``text`` without its optional hyphens, and ``hyphens``
+    holds their flat offsets: each sits before the flat character at its
+    offset."""
 
     text: str
     starts: list[int]
     runs: list[tuple[int, int]]
+    flat: str
+    hyphens: list[int]
 
     def __len__(self) -> int:
         return len(self.text)
@@ -75,6 +83,7 @@ def build_stream(tree: PageLineTree, model) -> Stream:
     pieces: list[str] = []
     starts: list[int] = []
     runs: list[tuple[int, int]] = []
+    hyphens: list[int] = []
     size = 0
     pending_space = False
     for segment in iter_segments(tree, model):
@@ -94,10 +103,12 @@ def build_stream(tree: PageLineTree, model) -> Stream:
                     pending_space = True
             if pieces and pieces[-1][-1] == "-":
                 pieces[-1] = pieces[-1][:-1] + "\n"     # optional hyphen
+                hyphens.append(size - 1 - len(hyphens))
                 pending_space = False
             else:
                 pending_space = True
-    return Stream("".join(pieces), starts, runs)
+    text = "".join(pieces)
+    return Stream(text, starts, runs, text.replace("\n", ""), hyphens)
 
 
 def _pattern(target: str) -> re.Pattern:
@@ -137,21 +148,39 @@ def locate_sentence(stream: Stream, sentence: str,
     target = _normalize(sentence)
     if not target:
         raise PipelineError("cannot locate an empty sentence")
-    matches = _pattern(target).finditer(stream.text)
-    first = next(matches, None)
+    found = _occurrences(stream, target)
+    first = next(found, None)
     if first is None:
         raise PipelineError(f"sentence absent from body text: {target[:50]!r}")
-    if warnings is not None and next(matches, None) is not None:
+    if warnings is not None and next(found, None) is not None:
         warnings.append(f"sentence occurs more than once; first match used: "
                         f"{target[:50]!r}")
 
-    start = first.start()
+    start, last = first
     while target[0] != "-" and start and stream.text[start - 1] == "\n":
         start -= 1
-    runs = stream.runs[stream.run(start):stream.run(first.end() - 1) + 1]
-    return HighlightSpan(start=stream.ref(start),
-                         end=stream.ref(first.end() - 1),
+    runs = stream.runs[stream.run(start):stream.run(last) + 1]
+    return HighlightSpan(start=stream.ref(start), end=stream.ref(last),
                          blocks=tuple(dict.fromkeys(b for b, _ in runs)))
+
+
+def _occurrences(stream: Stream, target: str):
+    """Text offsets (first, last character) of each non-overlapping
+    occurrence of ``target``, in order, as ``finditer`` of ``_pattern``
+    gives them.  A target with no ``-`` can only skip optional hyphens, so
+    its occurrences are those in the flat text, mapped back by counting
+    the optional hyphens before each end."""
+    if "-" in target:
+        for m in _pattern(target).finditer(stream.text):
+            yield m.start(), m.end() - 1
+        return
+    hyphens = stream.hyphens
+    f = stream.flat.find(target)
+    while f >= 0:
+        last = f + len(target) - 1
+        yield (f + bisect_right(hyphens, f),
+               last + bisect_right(hyphens, last))
+        f = stream.flat.find(target, last + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,10 @@ from .errors import ReplicaFormatError, ReplicaParseError
 
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
+# Class of the wraps that highlighting injects.  It carries no geometry, so
+# the ingester treats it as known even though no style sheet defines it.
+HL_CLASS = "hl"
+
 # CSS properties the ingester resolves from class rules / inline styles.
 _NUMERIC_PROPS = ("left", "bottom", "top", "width", "height", "font-size")
 _VOID_TAGS = {"img", "br", "hr", "meta", "link", "input", "base", "source"}
@@ -250,7 +254,7 @@ class _ReplicaParser(HTMLParser):
         for cls in node.classes:
             rule = self.classmap.get(cls)
             if rule is None:
-                if cls not in self._unknown:
+                if cls != HL_CLASS and cls not in self._unknown:
                     self._unknown.add(cls)
                     msg = f"unknown class {cls!r}; defaulting its properties to 0"
                     if self.strict:
@@ -531,8 +535,12 @@ def resolve_absolute(doc: ReplicaDocument) -> ReplicaDocument:
     First-level objects keep their coordinates; deeper objects add the
     parent's absolute starting point.  A top-origin object's relative y is
     ``page height - top - height``.  Always recomputed from the relative
-    coordinates, so applying it twice equals applying it once.
+    coordinates, and the warnings of an earlier call are replaced, so
+    applying it twice equals applying it once.
     """
+    doc.warnings[:] = [w for w in doc.warnings
+                       if w != "converted a top-origin coordinate"
+                       and not w.endswith(" is outside the page bounds")]
     for page in doc.pages:
         queue: list[tuple[PageObject, tuple[float, float] | None]] = [
             (obj, None) for obj in page.objects]

@@ -10,7 +10,10 @@ from __future__ import annotations
 import time
 
 from bodytext.assembly import segment_sentences
-from bodytext.highlight import HighlightSpan, inject_colors, strip_highlights
+from bodytext.errors import PipelineError
+from bodytext.highlight import (HighlightSpan, inject_colors, locate_sentence,
+                                strip_highlights)
+from bodytext.pipeline import extract
 from bodytext.replica import (CharRef, enumerate_blocks, parse_replica,
                               resolve_absolute)
 from fixtures import scaling_doc
@@ -62,4 +65,25 @@ def test_inject_colors_linear():
 def test_strip_highlights_linear():
     ratio = _ratio(strip_highlights,
                    lambda pages: inject_colors(*_whole_block_spans(pages)), 8)
+    assert ratio < RATIO_BOUND, f"8x more pages took {ratio:.1f}x"
+
+
+def _locate_absent(stream) -> None:
+    # one word off a sentence of every page, so the search meets many
+    # near misses
+    try:
+        locate_sentence(stream, "to measure how the running time grows with "
+                                "the page count; every page is identical.")
+    except PipelineError:
+        return
+    raise AssertionError("the target should be absent")
+
+
+def _stream(pages: int):
+    fixture = scaling_doc(pages)
+    return extract(fixture.html, fixture.css).stream
+
+
+def test_locate_sentence_linear():
+    ratio = _ratio(_locate_absent, _stream, 8)
     assert ratio < RATIO_BOUND, f"8x more pages took {ratio:.1f}x"

@@ -7,12 +7,14 @@ import time
 import pytest
 
 from bodytext.errors import PipelineError
-from bodytext.highlight import (build_stream, inject_color,
+from bodytext.highlight import (Stream, _pattern, build_stream, inject_color,
                                 inject_colors, locate_sentence,
                                 strip_highlights)
 from bodytext.metrics import Thresholds, group_lines
+from bodytext.pipeline import ExtractOptions, extract
 from bodytext.replica import (CharRef, enumerate_blocks, parse_replica,
                               resolve_absolute)
+from fixtures import scaling_doc
 from helpers import line, single_column_model, tree
 
 T = Thresholds()
@@ -124,6 +126,81 @@ def test_locate_across_a_run_of_hyphen_lines():
             locate_sentence(stream, absent)
     # retrying each way to take or skip 24 optional hyphens takes seconds
     assert time.perf_counter() - start < 1.0
+
+
+def _one_run_stream(text):
+    """A stream of one run over block 0, so that ``ref(k).t == k``."""
+    hyphens = [m.start() - j for j, m in enumerate(re.finditer("\n", text))]
+    return Stream(text, [0], [(0, 0)], text.replace("\n", ""), hyphens)
+
+
+def _oracle(text, target):
+    """(start, last, more than once) by ``_pattern``, or None if absent."""
+    matches = _pattern(target).finditer(text)
+    first = next(matches, None)
+    if first is None:
+        return None
+    start = first.start()
+    while start and text[start - 1] == "\n":
+        start -= 1
+    return start, first.end() - 1, next(matches, None) is not None
+
+
+def test_substring_search_agrees_with_pattern():
+    # targets with no '-' are found in the flat text, not by _pattern
+    rng = random.Random(7)
+    hits = 0
+    for _ in range(20_000):
+        text = "".join(rng.choice("ab-\n ") for _ in range(rng.randint(1, 24)))
+        if rng.random() < 0.5:
+            flat = text.replace("\n", "").replace("-", " ")
+            lo = rng.randint(0, len(flat))
+            target = flat[lo:lo + rng.randint(1, 8)]
+        else:
+            target = "".join(rng.choice("ab ") for _ in range(rng.randint(1, 5)))
+        target = " ".join(target.split())
+        if not target:
+            continue
+        expected = _oracle(text, target)
+        warnings = []
+        try:
+            span = locate_sentence(_one_run_stream(text), target, warnings)
+        except PipelineError:
+            assert expected is None, (text, target)
+            continue
+        assert (span.start.t, span.end.t, bool(warnings)) == expected, \
+            (text, target)
+        hits += 1
+    assert hits > 5_000
+
+
+def test_run_table_splits_at_other_whitespace():
+    # a run is a single-spaced stretch; a double space, a tab and a
+    # no-break space each end one
+    doc, t = make_doc([[("xa", "ab  cd\tef&#160;gh ij")], [("xa", "kl mn")]])
+    blocks = enumerate_blocks(doc)
+    stream = build_stream(t, single_column_model())
+    assert stream.text == "ab cd ef gh ij kl mn"
+    assert stream.starts == [0, 3, 6, 9, 15]
+    assert stream.runs == [(0, 0), (0, 4), (0, 7), (0, 10), (1, 0)]
+    for k, c in enumerate(stream.text):
+        if c != " " or k in (11, 17):      # spaces inside a run map too
+            ref = stream.ref(k)
+            assert blocks[ref.b].text[ref.t] == c
+    span = locate_sentence(stream, "ef gh ij kl")
+    assert (span.start, span.end) == (CharRef(0, 7), CharRef(1, 1))
+    assert span.blocks == (0, 1)
+
+
+def test_highlighted_output_rereads_under_strict():
+    fixture = scaling_doc(1)
+    result = extract(fixture.html, fixture.css)
+    sentence = next(result.body.sentences()).text
+    out = inject_color(result.doc, locate_sentence(result.stream, sentence),
+                       "#f00")
+    again = extract(out, fixture.css, options=ExtractOptions(strict=True))
+    assert again.bt_bytes == result.bt_bytes
+    assert not [w for w in again.doc.warnings if "unknown class" in w]
 
 
 def test_inject_single_block_minimal_edit():

@@ -229,6 +229,8 @@ def test_out_of_bounds_flagged_not_dropped():
     doc = resolve_absolute(parse_replica(html, css))
     assert len(enumerate_blocks(doc)) == 1
     assert any("outside the page bounds" in w for w in doc.warnings)
+    warnings = list(doc.warnings)
+    assert resolve_absolute(doc).warnings == warnings
 
 
 def test_top_origin_fallback():
@@ -240,6 +242,11 @@ def test_top_origin_fallback():
     assert [b.absolute_start for b in enumerate_blocks(doc)] == [
         (72.0, 700.0), (72.0, 783.0)]
     assert doc.warnings.count("converted a top-origin coordinate") == 2
+    # a second call, as extract makes on a caller-resolved document,
+    # replaces its warnings instead of adding to them
+    warnings = list(doc.warnings)
+    resolve_absolute(doc)
+    assert doc.warnings == warnings
 
 
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
