@@ -8,6 +8,12 @@ are deleted at the join (kept only when a supplied word list knows the
 compound).  Paragraphs carry text only: the per-character provenance that
 highlighting needs to find a sentence again in the replica lives in
 ``ExtractionResult.stream`` (see highlight.build_stream).
+
+Sentences are split by one compiled pattern that finds each terminator
+with its closing quotes or brackets, the whitespace after them and the
+character after that; only the test of that character and the
+abbreviation / single-initial rule run in Python, at those candidates.
+Evaluation segments gold and extracted text with the same function.
 """
 
 from __future__ import annotations
@@ -127,9 +133,13 @@ def assemble(tree: PageLineTree, model, stats: DocumentStats,
 # Sentence segmentation
 # ---------------------------------------------------------------------------
 
-_TERMINATORS = ".!?"
 _CLOSERS = "\"')]}”’»"
 _OPENERS = "\"'“‘«("
+# a terminator, its closers, the whitespace after them (group 1) and the
+# character after that (group 2); of an ellipsis only the last dot can
+# match, since whitespace must follow
+_BOUNDARY_RE = re.compile(r"[.!?][%s]*(\s+)(?=(.))" % re.escape(_CLOSERS),
+                          re.S)
 
 # tokens whose trailing period does not end a sentence
 _ABBREVIATIONS = {
@@ -143,39 +153,23 @@ _SINGLE_CAP_RE = re.compile(r"^[A-Z]\.$")
 def _sentence_spans(text: str) -> list[tuple[int, int]]:
     spans = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINATORS:
-            j = i + 1
-            if ch == "." and j < n and text[j] == ".":   # ellipsis
-                i += 1
+    for m in _BOUNDARY_RE.finditer(text):
+        follower = m[2]
+        if not (follower.isupper() or follower.isdigit()
+                or follower in _OPENERS):
+            continue
+        i = m.start()
+        if text[i] == ".":
+            w = i                            # start of the word before '.'
+            while w and not text[w - 1].isspace():
+                w -= 1
+            word = text[w:i + 1].lstrip(_OPENERS)
+            if word.lower() in _ABBREVIATIONS or _SINGLE_CAP_RE.match(word):
                 continue
-            while j < n and text[j] in _CLOSERS:
-                j += 1
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            follows = (k > j and k < n
-                       and (text[k].isupper() or text[k].isdigit()
-                            or text[k] in _OPENERS))
-            if follows and ch == ".":
-                w = i                        # start of the word before '.'
-                while w and not text[w - 1].isspace():
-                    w -= 1
-                word = text[w:i + 1].lstrip(_OPENERS)
-                if word.lower() in _ABBREVIATIONS or _SINGLE_CAP_RE.match(word):
-                    i += 1
-                    continue
-            if follows:
-                spans.append((start, j))
-                start = k
-                i = k
-                continue
-        i += 1
-    if start < n:
-        spans.append((start, n))
+        spans.append((start, m.start(1)))
+        start = m.end()
+    if start < len(text):
+        spans.append((start, len(text)))
     return spans
 
 
@@ -186,16 +180,16 @@ def _normalize(text: str) -> str:
 
 
 def segment_sentences(paragraph: str) -> list[str]:
-    """Split a paragraph after . ! ? followed by an upper/digit/quote opener;
-    common abbreviations and single-initial periods do not split."""
+    """Split a paragraph after . ! ? (and any closing quotes or brackets)
+    followed by whitespace and an upper/digit/quote opener; common
+    abbreviations and single-initial periods do not split."""
     return [paragraph[a:b] for a, b in _sentence_spans(paragraph)]
 
 
 def finalize_sentences(body: BodyText) -> BodyText:
     for paragraph in body.paragraphs:
         paragraph.sentences = [
-            Sentence(text=paragraph.text[a:b])
-            for a, b in _sentence_spans(paragraph.text)]
+            Sentence(text) for text in segment_sentences(paragraph.text)]
     return body
 
 

@@ -10,10 +10,11 @@ follow from the first one or two peaks.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import PipelineError
-from .metrics import Line, PageLines, PageLineTree, Thresholds
+from .metrics import Line, PageLines, PageLineTree, Thresholds, _mode
 
 # column_id of lines that span the full printing area (one-column inserts
 # such as an abstract block in a two-column page)
@@ -283,8 +284,8 @@ def _band_segments(page: PageLines, band: list[Line], spanning: bool,
 
 
 def _flush_left(band: list[Line], model: ColumnModel) -> int:
-    xs = [round(line.x) for line in band]
-    mode = min(x for x in xs if xs.count(x) == max(map(xs.count, xs)))
-    if xs.count(mode) * 2 > len(xs):
+    xs = Counter(round(line.x) for line in band)
+    mode = _mode(xs)
+    if xs[mode] * 2 > len(band):
         return mode
     return model.column_lefts[0]

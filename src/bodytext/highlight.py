@@ -77,8 +77,9 @@ def build_stream(tree: PageLineTree, model) -> Stream:
     """Stream of the kept lines in reading order.
 
     Whitespace runs collapse to a single space; line boundaries insert one
-    unless the line ends with a hyphen, which becomes an optional hyphen
-    instead (the joined text may or may not contain it).
+    unless the line's text ends with a hyphen, which becomes an optional
+    hyphen instead (the joined text may or may not contain it); a hyphen
+    followed by whitespace stays literal, as dehyphenate keeps it.
     """
     pieces: list[str] = []
     starts: list[int] = []
@@ -101,7 +102,7 @@ def build_stream(tree: PageLineTree, model) -> Stream:
                     size += len(pieces[-1])
                 if text and text[-1].isspace():
                     pending_space = True
-            if pieces and pieces[-1][-1] == "-":
+            if line.text.endswith("-"):
                 pieces[-1] = pieces[-1][:-1] + "\n"     # optional hyphen
                 hyphens.append(size - 1 - len(hyphens))
                 pending_space = False

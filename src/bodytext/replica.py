@@ -560,7 +560,7 @@ def resolve_absolute(doc: ReplicaDocument) -> ReplicaDocument:
                     obj.block.absolute_start = absolute
                     obj.block.page_number = page.number
                 x, y = absolute
-                if not (0 <= x <= doc.page_width and 0 <= y <= page.height):
+                if not (0 <= x <= page.width and 0 <= y <= page.height):
                     doc.warnings.append(
                         f"page {page.number}: object at ({x:g}, {y:g}) is "
                         f"outside the page bounds")

@@ -143,9 +143,15 @@ def test_criterion_4_runtime_scaling():
     # shorter than one round, so each timing is divided by the mean of a
     # fixed probe timed just before and just after it.  R^2 is fitted on
     # the median of those ratios (a minimum would pick the timings whose
-    # probes missed a spell); the time bound takes the minimum raw time
-    rounds = [{n: _timed_and_scaled(docs[n]) for n in sizes}
-              for _ in range(5)]
+    # probes missed a spell); the time bound takes the minimum raw time.
+    # The objects the test session has built so far are frozen, so that a
+    # full garbage collection inside a timing does not walk them all
+    gc.freeze()
+    try:
+        rounds = [{n: _timed_and_scaled(docs[n]) for n in sizes}
+                  for _ in range(5)]
+    finally:
+        gc.unfreeze()
     times = {n: min(r[n][0] for r in rounds) for n in sizes}
     scaled = {n: statistics.median(r[n][1] for r in rounds) for n in sizes}
     xs = sizes

@@ -134,28 +134,64 @@ def test_no_output_line_ends_with_wrap_hyphen():
 
 # -- sentence segmentation ------------------------------------------------------
 
+def _check_segments(cases):
+    for text, expected in cases:
+        assert segment_sentences(text) == expected, text
+
+
 def test_segment_basic():
-    assert segment_sentences("We ran tests. Results follow.") == [
-        "We ran tests.", "Results follow."]
+    _check_segments([
+        ("We ran tests. Results follow.",
+         ["We ran tests.", "Results follow."]),
+        # only the last dot of an ellipsis ends a sentence
+        ("Wait... Then we ran.", ["Wait...", "Then we ran."]),
+        ("It rose by 5. 7 more came.", ["It rose by 5.", "7 more came."]),
+        ("It ends. then more.", ["It ends. then more."]),
+        ("Call obj.Method now.", ["Call obj.Method now."]),
+        # any whitespace separates, and none of it belongs to a sentence
+        ("One ends.\xa0Two ends.\u2009Three.",
+         ["One ends.", "Two ends.", "Three."]),
+        ("Done.", ["Done."]),
+        ("It ends.  ", ["It ends.  "]),
+    ])
 
 
 def test_segment_abbreviation_guard():
-    assert segment_sentences("See Fig. 3 for details.") == [
-        "See Fig. 3 for details."]
+    _check_segments([
+        ("See Fig. 3 for details.", ["See Fig. 3 for details."]),
+        ("See the plot (Fig. 2) Next we turn.",
+         ["See the plot (Fig. 2) Next we turn."]),
+        ("It grows (Fig. 2). Next we turn.",
+         ["It grows (Fig. 2).", "Next we turn."]),
+    ])
 
 
 def test_segment_question():
-    assert segment_sentences("Is it fast? Yes.") == ["Is it fast?", "Yes."]
+    _check_segments([
+        ("Is it fast? Yes.", ["Is it fast?", "Yes."]),
+        ('He asked "why?" Then left.', ['He asked "why?"', "Then left."]),
+        ("(It works!) Next.", ["(It works!)", "Next."]),
+    ])
 
 
 def test_segment_initials_and_eg():
-    assert segment_sentences("J. Smith wrote it, e.g. the draft.") == [
-        "J. Smith wrote it, e.g. the draft."]
+    _check_segments([
+        ("J. Smith wrote it, e.g. the draft.",
+         ["J. Smith wrote it, e.g. the draft."]),
+        ("A. B. Smith wrote it.", ["A. B. Smith wrote it."]),
+    ])
 
 
 def test_segment_closing_quote():
-    assert segment_sentences('He said "stop." Then we left.') == [
-        'He said "stop."', "Then we left."]
+    _check_segments([
+        ('He said "stop." Then we left.',
+         ['He said "stop."', "Then we left."]),
+        ('It ended. "Go on," he said.', ["It ended.", '"Go on," he said.']),
+        ("It ended. (See below.)", ["It ended.", "(See below.)"]),
+        # the word before the last dot is "a.).", not an initial
+        ("It holds (see a.). But not here.",
+         ["It holds (see a.).", "But not here."]),
+    ])
 
 
 # -- caption gate -----------------------------------------------------------------

@@ -6,11 +6,12 @@ import time
 
 import pytest
 
+from bodytext.assembly import assemble, finalize_sentences
 from bodytext.errors import PipelineError
 from bodytext.highlight import (Stream, _pattern, build_stream, inject_color,
                                 inject_colors, locate_sentence,
                                 strip_highlights)
-from bodytext.metrics import Thresholds, group_lines
+from bodytext.metrics import DocumentStats, Thresholds, group_lines
 from bodytext.pipeline import ExtractOptions, extract
 from bodytext.replica import (CharRef, enumerate_blocks, parse_replica,
                               resolve_absolute)
@@ -126,6 +127,24 @@ def test_locate_across_a_run_of_hyphen_lines():
             locate_sentence(stream, absent)
     # retrying each way to take or skip 24 optional hyphens takes seconds
     assert time.perf_counter() - start < 1.0
+
+
+def test_hyphen_before_whitespace_stays_literal():
+    # a line whose text ends in "- " or in "-" and a no-break-space block is
+    # not joined at the hyphen, so the stream keeps the hyphen and a space
+    for rows in ([[("xa", "We study the state- ")],
+                  [("xa", "of the art. It works.")]],
+                 [[("xa", "We study the state-"), ("xb", "&#160;")],
+                  [("xa", "of the art. It works.")]]):
+        doc, t = make_doc(rows)
+        body = finalize_sentences(assemble(
+            t, single_column_model(), DocumentStats(12.0, 14, 40.0), T))
+        stream = build_stream(t, single_column_model())
+        assert stream.text == "We study the state- of the art. It works."
+        sentences = [s.text for s in body.sentences()]
+        assert len(sentences) == 2
+        for sentence in sentences:
+            locate_sentence(stream, sentence)
 
 
 def _one_run_stream(text):

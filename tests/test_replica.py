@@ -233,6 +233,21 @@ def test_out_of_bounds_flagged_not_dropped():
     assert resolve_absolute(doc).warnings == warnings
 
 
+def test_bounds_use_each_page_width():
+    # x = 700 is inside a 792 px wide landscape page 2, though page 1 is
+    # only 612 px wide
+    css = CSS + (".wl { width: 792px; } .hs { height: 612px; }"
+                 " .xl { left: 700px; }")
+    html = ('<div id="page-container">'
+            '<div class="pf w0 h0" data-page-no="1">'
+            '<div class="t x1 y1 hh fs">portrait</div></div>'
+            '<div class="pf wl hs" data-page-no="2">'
+            '<div class="t xl y2 hh fs">landscape</div></div></div>')
+    doc = resolve_absolute(parse_replica(html, css))
+    assert not any("outside the page bounds" in w for w in doc.warnings)
+    assert any("page 2 size 792.0x612.0" in w for w in doc.warnings)
+
+
 def test_top_origin_fallback():
     css = CSS + ".tp { top: 78px; } .tn { top: -5px; }"
     html = page_html('<div class="t x1 tp hh fs">converted</div>'
