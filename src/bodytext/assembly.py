@@ -69,9 +69,10 @@ def dehyphenate(lines: list[str], hyphen_words: set[str] | None = None) -> str:
     """Join line texts into one paragraph, handling trailing hyphens.
 
     Lines are joined with a space unless the text so far ends with a
-    hyphen.  Default: that hyphen is deleted and the fragments
-    concatenated.  With a word list: the hyphen stays when
-    fragment-hyphen-fragment forms a listed compound.
+    hyphen, or the join already has whitespace on either side.  Default:
+    that hyphen is deleted and the fragments concatenated.  With a word
+    list: the hyphen stays when fragment-hyphen-fragment forms a listed
+    compound.
     """
     pieces: list[str] = []           # non-empty, joined once at the end
     for i, text in enumerate(lines):
@@ -83,7 +84,8 @@ def dehyphenate(lines: list[str], hyphen_words: set[str] | None = None) -> str:
                 pieces[-1] = pieces[-1][:-1]
                 if not pieces[-1]:
                     pieces.pop()
-        elif i:
+        elif i and not (pieces and pieces[-1][-1].isspace()
+                        or text[:1].isspace()):
             pieces.append(" ")
         if text:
             pieces.append(text)

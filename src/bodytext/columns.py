@@ -26,7 +26,6 @@ class SweepHistogram:
     """counts[i] = number of block starting points with rounded x == i."""
 
     counts: list[int]
-    width: int
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -43,7 +42,6 @@ class ColumnModel:
     column_lefts: list[int]
     k: int                               # number of histogram peaks
     margin_width: int
-    page_width: int
     minor_columns: list[int] = field(default_factory=list)
 
     def for_page(self, page_number: int) -> "ColumnModel":
@@ -74,7 +72,7 @@ def sweep(tree: PageLineTree) -> SweepHistogram:
         x = round(block.x)
         if 0 <= x <= width:
             counts[x] += 1
-    return SweepHistogram(counts=counts, width=width)
+    return SweepHistogram(counts=counts)
 
 
 def detect_columns(hist: SweepHistogram, thresholds: Thresholds) -> ColumnModel:
@@ -124,12 +122,12 @@ def detect_columns(hist: SweepHistogram, thresholds: Thresholds) -> ColumnModel:
         majors = peaks[1:]
 
     return ColumnModel(column_lefts=majors, k=len(peaks), margin_width=margin,
-                       page_width=hist.width, minor_columns=minors)
+                       minor_columns=minors)
 
 
-def bt_area(model: ColumnModel, page_width: int | None = None) -> tuple[int, int]:
-    """Symmetric horizontal bounds of the body-text printing area."""
-    width = model.page_width if page_width is None else page_width
+def bt_area(model: ColumnModel, width: int) -> tuple[int, int]:
+    """Symmetric horizontal bounds of the body-text printing area of a page
+    ``width`` pixels wide."""
     return (model.margin_width, width - model.margin_width)
 
 

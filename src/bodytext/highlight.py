@@ -70,7 +70,7 @@ class Stream:
 class HighlightSpan:
     start: CharRef
     end: CharRef
-    blocks: tuple[int, ...] = ()   # block indices the match covers, in order
+    blocks: tuple[int, ...]        # block indices the match covers, in order
 
 
 def build_stream(tree: PageLineTree, model) -> Stream:
@@ -208,8 +208,7 @@ def _span_insertions(doc_blocks, span: HighlightSpan, color: str,
     """
     open_tag = _OPEN_TMPL % color
     out: list[tuple[int, int, str]] = []
-    blocks = span.blocks or tuple(range(span.start.b, span.end.b + 1))
-    for b in blocks:
+    for b in span.blocks:
         block = doc_blocks.get(b)
         if block is None:
             raise PipelineError(f"highlight references unknown block {b}")

@@ -211,11 +211,8 @@ def base_cbd(tree: PageLineTree) -> float:
     return sum(densities) / len(densities)
 
 
-def compute_stats(blocks, tree: PageLineTree, model,
-                  base_fs: float | None = None) -> DocumentStats:
+def compute_stats(tree: PageLineTree, model, base_fs: float) -> DocumentStats:
     """Bundle the three baselines."""
-    if base_fs is None:
-        base_fs = font_size_mode(blocks)
     return DocumentStats(base_fs=base_fs,
                          base_ls=line_spacing_mode(tree, model),
                          base_cbd=base_cbd(tree))

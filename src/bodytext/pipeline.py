@@ -86,7 +86,7 @@ def extract_from_document(doc: replica.ReplicaDocument,
         model = columns.detect_columns(histogram, thresholds)
 
     columns.assign_columns(tree, model, thresholds)
-    stats = metrics.compute_stats(blocks, tree, model, base_fs=base_fs)
+    stats = metrics.compute_stats(tree, model, base_fs)
 
     removal.remove_sidings(tree, model, log)
     removal.remove_references(tree, model, stats, log,

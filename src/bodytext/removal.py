@@ -67,7 +67,8 @@ class RemovalLog:
             rows.append({"level": "line", "page": ln.page,
                          "column": ln.column_id, "x": ln.x, "y": ln.y,
                          "preview": ln.preview, "removed": ln.removed,
-                         "reasons": sorted(ln.reasons)})
+                         "reasons": sorted(ln.reasons),
+                         "p_before": ln.p_before, "p_after": ln.p_after})
         for text in self.captions:
             rows.append({"level": "paragraph", "preview": text[:60],
                          "removed": True, "reasons": ["caption"]})
@@ -126,9 +127,8 @@ def shallow_remove(doc: ReplicaDocument, base_fs: float,
                 absolute_start=obj.absolute_start))
     pages = [Page(number=page.number, width=page.width, height=page.height,
                   objects=kept[id(page)]) for page in doc.pages]
-    return ReplicaDocument(pages=pages, page_width=doc.page_width,
-                           page_height=doc.page_height,
-                           warnings=doc.warnings, source=doc.source)
+    return ReplicaDocument(pages=pages, warnings=doc.warnings,
+                           source=doc.source)
 
 
 def find_abstract_band(blocks: list[TextBlock], delta1: float,
@@ -159,7 +159,8 @@ def find_abstract_band(blocks: list[TextBlock], delta1: float,
 
 def remove_sidings(tree: PageLineTree, model,
                    log: RemovalLog | None = None) -> None:
-    """Drop every block starting left of w_m or right of W - w_m.
+    """Drop every block starting left of w_m or right of W - w_m, where W
+    is the width of the block's own page.
 
     Boundary-inclusive keep: a block exactly on the margin bound stays.
     Covers line-number gutters, including the paired-number variant whose
@@ -168,7 +169,7 @@ def remove_sidings(tree: PageLineTree, model,
     log = log if log is not None else RemovalLog()
     reasons: dict[int, str] = {}
     for page in tree.pages:
-        lo, hi = bt_area(model.for_page(page.page_number))
+        lo, hi = bt_area(model.for_page(page.page_number), int(page.width))
         for i, line in enumerate(page.lines):
             kept = []
             for block in line.blocks:
@@ -294,7 +295,7 @@ def remove_special_lines(tree: PageLineTree, model, thresholds: Thresholds,
                 reasons[id(line)] = "indent_gamma2"
             elif any(gap > thresholds.gamma3
                      for block in line.blocks
-                     for _, gap in block.internal_gaps):
+                     for gap in block.internal_gaps):
                 reasons[id(line)] = "whitespace_gamma3"
     _drop_lines(tree, reasons, log)
 

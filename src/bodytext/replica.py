@@ -61,29 +61,22 @@ class TextSegment:
 
 @dataclass
 class TextBlock:
-    """A positioned run of text; the atomic unit of all later analysis."""
+    """A positioned run of text; the atomic unit of all later analysis.
+
+    ``x``, ``y`` (the absolute starting point) and ``page_number`` are set
+    by resolve_absolute.  ``internal_gaps`` holds the width of each inserted
+    spacing inside the block.
+    """
 
     text: str
-    height: float = 0.0
     font_size: float = 0.0
-    rotation: tuple[float, float, float, float] = IDENTITY
-    internal_gaps: list[tuple[int, float]] = field(default_factory=list)
-    absolute_start: tuple[float, float] | None = None
+    rotated: bool = False
+    internal_gaps: list[float] = field(default_factory=list)
+    x: float = 0.0
+    y: float = 0.0
     index: int = -1                      # document-order index (CharRef.b)
     page_number: int = 0
     segments: list[TextSegment] = field(default_factory=list)
-
-    @property
-    def x(self) -> float:
-        return self.absolute_start[0] if self.absolute_start else 0.0
-
-    @property
-    def y(self) -> float:
-        return self.absolute_start[1] if self.absolute_start else 0.0
-
-    @property
-    def rotated(self) -> bool:
-        return any(abs(a - b) > 1e-9 for a, b in zip(self.rotation, IDENTITY))
 
 
 @dataclass(frozen=True)
@@ -119,8 +112,6 @@ class Page:
 @dataclass
 class ReplicaDocument:
     pages: list[Page]
-    page_width: float
-    page_height: float
     warnings: list[str] = field(default_factory=list)
     source: str = ""
 
@@ -208,7 +199,7 @@ class _Node:
     """Builder-side element state while its tag is open."""
 
     __slots__ = ("tag", "attrs", "classes", "inline_style", "children",
-                 "text", "text_len", "segments", "gaps", "host_text_len")
+                 "text", "text_len", "segments", "gaps")
 
     def __init__(self, tag, attrs):
         self.tag = tag
@@ -220,8 +211,7 @@ class _Node:
         self.text: list[str] = []
         self.text_len = 0                # total length of the text pieces
         self.segments: list[TextSegment] = []
-        self.gaps: list[tuple[int, float]] = []
-        self.host_text_len = 0           # host div's text length at open
+        self.gaps: list[float] = []
 
 
 class _ReplicaParser(HTMLParser):
@@ -272,11 +262,7 @@ class _ReplicaParser(HTMLParser):
         if tag in _VOID_TAGS:
             self.handle_startendtag(tag, attrs)
             return
-        node = _Node(tag, attrs)
-        if tag == "span":
-            host = self._nearest_div()
-            node.host_text_len = host.text_len if host else 0
-        self.stack.append(node)
+        self.stack.append(_Node(tag, attrs))
 
     def handle_startendtag(self, tag, attrs):
         if tag != "img":
@@ -315,7 +301,7 @@ class _ReplicaParser(HTMLParser):
         if host is None:
             return
         if "width" in props:
-            host.gaps.append((node.host_text_len, float(props["width"])))
+            host.gaps.append(float(props["width"]))
 
     def _close_div(self, node: _Node):
         props = self._resolve(node)
@@ -330,11 +316,12 @@ class _ReplicaParser(HTMLParser):
                              width=props.get("width"), height=props.get("height"),
                              children=node.children)
         elif text:
+            matrix = props.get("transform", IDENTITY)
             block = TextBlock(
                 text=text.replace("\n", " "),
-                height=float(props.get("height", 0.0)),
                 font_size=float(props.get("font-size", 0.0)),
-                rotation=props.get("transform", IDENTITY),
+                rotated=any(abs(a - b) > 1e-9
+                            for a, b in zip(matrix, IDENTITY)),
                 internal_gaps=node.gaps,
                 segments=node.segments,
             )
@@ -345,7 +332,7 @@ class _ReplicaParser(HTMLParser):
                 self.warnings.append(
                     f"text block {text[:30]!r} carries an explicit width")
             obj = PageObject(kind="text_block", relative_start=rel,
-                             height=block.height, block=block)
+                             height=props.get("height"), block=block)
         elif props.get("width") is not None and props.get("height") is not None:
             obj = PageObject(kind="line", relative_start=rel,
                              width=props.get("width"), height=props.get("height"))
@@ -461,15 +448,13 @@ def parse_replica(html, css=(), *, strict: bool = False) -> ReplicaDocument:
         if a.number == b.number:
             raise ReplicaFormatError(f"duplicate page number {a.number}")
 
-    doc = ReplicaDocument(pages=pages, page_width=pages[0].width,
-                          page_height=pages[0].height,
-                          warnings=parser.warnings, source=html)
+    first = pages[0]
     for page in pages:
-        if page.width != doc.page_width or page.height != doc.page_height:
-            doc.warnings.append(
+        if page.width != first.width or page.height != first.height:
+            parser.warnings.append(
                 f"page {page.number} size {page.width}x{page.height} differs "
                 f"from page 1")
-    return doc
+    return ReplicaDocument(pages=pages, warnings=parser.warnings, source=html)
 
 
 def _find_container(objects) -> PageObject | None:
@@ -557,7 +542,7 @@ def resolve_absolute(doc: ReplicaDocument) -> ReplicaDocument:
                                 absolute[1] + parent_abs[1])
                 obj.absolute_start = absolute
                 if obj.block is not None:
-                    obj.block.absolute_start = absolute
+                    obj.block.x, obj.block.y = absolute
                     obj.block.page_number = page.number
                 x, y = absolute
                 if not (0 <= x <= page.width and 0 <= y <= page.height):
@@ -575,9 +560,8 @@ def enumerate_blocks(doc: ReplicaDocument) -> list[TextBlock]:
     This order defines the block index ``b`` used by CharRef.
     """
     blocks = []
-    for page, obj in doc.iter_objects():
+    for _, obj in doc.iter_objects():
         if obj.kind == "text_block" and obj.block is not None:
             obj.block.index = len(blocks)
-            obj.block.page_number = page.number
             blocks.append(obj.block)
     return blocks

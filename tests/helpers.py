@@ -8,9 +8,8 @@ from bodytext.replica import TextBlock
 
 
 def block(text, x=72.0, y=700.0, font_size=12.0, page=1, index=-1, **kw):
-    return TextBlock(text=text, font_size=font_size, height=font_size + 2,
-                     absolute_start=(x, y), page_number=page, index=index,
-                     **kw)
+    return TextBlock(text=text, font_size=font_size, x=x, y=y,
+                     page_number=page, index=index, **kw)
 
 
 def line(texts, y=700.0, x=72.0, column_id=0, step=30.0, page=1):
@@ -27,11 +26,9 @@ def tree(lines, page=1, width=612.0, height=792.0):
                                          height=height, lines=list(lines))])
 
 
-def single_column_model(left=72, width=612):
-    return ColumnModel(column_lefts=[left], k=1, margin_width=left,
-                       page_width=width)
+def single_column_model(left=72):
+    return ColumnModel(column_lefts=[left], k=1, margin_width=left)
 
 
-def two_column_model(lefts=(72, 312), width=612):
-    return ColumnModel(column_lefts=list(lefts), k=2, margin_width=lefts[0],
-                       page_width=width)
+def two_column_model(lefts=(72, 312)):
+    return ColumnModel(column_lefts=list(lefts), k=2, margin_width=lefts[0])

@@ -115,6 +115,10 @@ def test_dehyphenate_dictionary_keeps_compound():
 
 def test_dehyphenate_plain_join():
     assert dehyphenate(["no hyphen", "next line"]) == "no hyphen next line"
+    # whitespace already at the join is not doubled; the hyphen rule holds
+    assert dehyphenate(["state-  ", "of"]) == "state-  of"
+    assert dehyphenate(["state", " of"]) == "state of"
+    assert dehyphenate(["state-", " of"]) == "state of"
 
 
 def test_hyphen_before_whitespace_only_line_with_word_list():
@@ -123,7 +127,7 @@ def test_hyphen_before_whitespace_only_line_with_word_list():
                           line(["of the art."], y=672)],
                          hyphen_words={"state-of"})
     assert [p.text for p in body.paragraphs] == [
-        "ends in state\u00a0 of the art."]
+        "ends in state\u00a0of the art."]
 
 
 def test_no_output_line_ends_with_wrap_hyphen():

@@ -39,6 +39,12 @@ def test_extract_css_flag_and_dumps(fixture_files):
     assert header == "x,count" and first == "0,0"
     rows = [json.loads(l) for l in verdicts.read_text().splitlines()]
     assert any(r["removed"] and "rule2" in r["reasons"] for r in rows)
+    # line rows carry the backward scan's flags, null where no flag is set
+    def flags(reason):
+        return {(r["p_before"], r["p_after"]) for r in rows
+                if r["level"] == "line" and reason in r["reasons"]}
+    assert flags("rule2") == {(False, False)}
+    assert flags("indent_gamma2") == {(None, None)}
 
 
 def test_extract_threshold_override(fixture_files):

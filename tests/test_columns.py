@@ -18,7 +18,7 @@ def make_hist(counts: dict[int, int], width=612):
     for x, n in counts.items():
         arr[x] = n
     import bodytext.columns as c
-    return c.SweepHistogram(counts=arr, width=width)
+    return c.SweepHistogram(counts=arr)
 
 
 def test_sweep_single_column_counts():

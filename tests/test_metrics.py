@@ -175,8 +175,8 @@ def test_line_spacing_mixed_mode_oracle():
         g = round(a.y - b.y)
         hist[g] = hist.get(g, 0) + 1
     assert hist[14] == 60 and hist[15] == 40
-    assert line_spacing_mode(t, single_column_model(width=2000)) == 14
-    assert gap_histogram(t, single_column_model(width=2000)) == hist
+    assert line_spacing_mode(t, single_column_model()) == 14
+    assert gap_histogram(t, single_column_model()) == hist
 
 
 def test_line_spacing_insufficient_lines():

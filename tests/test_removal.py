@@ -2,7 +2,9 @@
 
 import random
 
-from bodytext.metrics import DocumentStats, Line, Thresholds
+from bodytext.columns import detect_columns, sweep
+from bodytext.metrics import (DocumentStats, Line, PageLines, PageLineTree,
+                              Thresholds)
 from bodytext.removal import (LineContext, RemovalLog, backward_removal,
                               find_abstract_band, nbt_tests, remove_references,
                               remove_sidings, remove_special_lines,
@@ -20,16 +22,14 @@ def stats(base_fs=12.0, base_ls=14, base_cbd=40.0):
 
 def doc_of(objects):
     page = Page(number=1, width=612, height=792, objects=objects)
-    doc = ReplicaDocument(pages=[page], page_width=612, page_height=792)
+    doc = ReplicaDocument(pages=[page])
     return resolve_absolute(doc)
 
 
-def text_obj(text, x=72.0, y=700.0, font_size=12.0, rotation=None):
-    blk = TextBlock(text=text, font_size=font_size, height=font_size + 2)
-    if rotation:
-        blk.rotation = rotation
+def text_obj(text, x=72.0, y=700.0, font_size=12.0, rotated=False):
+    blk = TextBlock(text=text, font_size=font_size, rotated=rotated)
     return PageObject(kind="text_block", relative_start=(x, y), block=blk,
-                      height=blk.height)
+                      height=font_size + 2)
 
 
 # -- shallow removal -----------------------------------------------------------
@@ -46,7 +46,7 @@ def test_shallow_font_interval_open():
 
 def test_shallow_rotated_watermark():
     doc = doc_of([text_obj("Working draft not for distribution",
-                           rotation=(0.7, -0.7, 0.7, 0.7)),
+                           rotated=True),
                   text_obj("body", y=650)])
     out = shallow_remove(doc, 12.0, T)
     assert [o.block.text for _, o in out.iter_objects()] == ["body"]
@@ -64,7 +64,7 @@ def test_shallow_image_removed_child_survives():
     assert any("non_textual" in v.reasons for v in log.blocks)
     # the surviving child keeps its resolved absolute position
     label = next(o for _, o in out.iter_objects() if o.block.text == "label")
-    assert label.block.absolute_start == (110, 410)
+    assert (label.block.x, label.block.y) == (110, 410)
 
 
 def test_abstract_band_exempts_font_filter():
@@ -101,9 +101,22 @@ def test_sidings_boundaries():
     assert texts == ["kept edge", "right edge"]
 
 
+def test_sidings_use_each_page_width():
+    # the right bound of a 612 px page is 540, even when another page of
+    # the document is 792 px wide
+    narrow = [line("body", y=700 - 14 * i) for i in range(3)]
+    wide = [line("body", y=500, page=2), line("wide right", y=486, x=700, page=2)]
+    t = PageLineTree(pages=[
+        PageLines(1, 612.0, 792.0, narrow + [line("far right", y=600, x=560)]),
+        PageLines(2, 792.0, 612.0, wide)])
+    remove_sidings(t, detect_columns(sweep(t), T), RemovalLog())
+    assert [[ln.text for ln in page.lines] for page in t.pages] == [
+        ["body"] * 3, ["body", "wide right"]]
+
+
 def test_sidings_paired_gutter_numbers():
     ln = line(["7 7"], y=400, x=30)
-    ln.blocks[0].internal_gaps = [(1, 480.0)]
+    ln.blocks[0].internal_gaps = [480.0]
     body = line(["body line"], y=400, x=72)
     t = tree([Line_merge(ln, body)])
     for row in t.pages[0].lines:
@@ -227,9 +240,9 @@ def test_special_indent_threshold():
 
 def test_special_internal_gap():
     wide = line(["left part right part"], y=700)
-    wide.blocks[0].internal_gaps = [(9, 60.0)]
+    wide.blocks[0].internal_gaps = [60.0]
     narrow = line(["left and right"], y=686)
-    narrow.blocks[0].internal_gaps = [(4, 30.0)]
+    narrow.blocks[0].internal_gaps = [30.0]
     t = tree([wide, narrow])
     for ln in t.pages[0].lines:
         ln.column_id = 0

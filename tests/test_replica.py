@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bodytext.errors import ReplicaFormatError, ReplicaParseError
-from bodytext.replica import (Page, PageObject, ReplicaDocument,
+from bodytext.replica import (Page, PageObject, ReplicaDocument, TextBlock,
                               enumerate_blocks, parse_replica,
                               resolve_absolute)
 
@@ -30,11 +30,11 @@ def test_minimal_single_block():
     doc = parse_replica(page_html('<div class="t x1 y1 hh fs">Hello.</div>'),
                         CSS)
     assert len(doc.pages) == 1
-    assert doc.page_width == 612 and doc.page_height == 792
+    assert (doc.pages[0].width, doc.pages[0].height) == (612, 792)
     blocks = enumerate_blocks(resolve_absolute(doc))
     assert len(blocks) == 1
     assert blocks[0].text == "Hello."
-    assert blocks[0].absolute_start == (72.0, 700.0)
+    assert (blocks[0].x, blocks[0].y) == (72.0, 700.0)
     assert blocks[0].font_size == 12.0
 
 
@@ -72,7 +72,7 @@ def test_resolve_parent_child():
     css = CSS + ".xb { left: 10px; } .yb { bottom: 5px; }"
     doc = resolve_absolute(parse_replica(html, css))
     child = enumerate_blocks(doc)[0]
-    assert child.absolute_start == (110.0, 505.0)
+    assert (child.x, child.y) == (110.0, 505.0)
 
 
 def test_resolve_three_level_chain():
@@ -81,28 +81,35 @@ def test_resolve_three_level_chain():
     css = (CSS + ".xa{left:50px}.ya{bottom:50px}.xb{left:10px}.yb{bottom:10px}"
                  ".xc{left:5px}.yc{bottom:5px}")
     doc = resolve_absolute(parse_replica(html, css))
-    assert enumerate_blocks(doc)[0].absolute_start == (65.0, 65.0)
+    block = enumerate_blocks(doc)[0]
+    assert (block.x, block.y) == (65.0, 65.0)
 
 
 def _random_tree_doc(rng, nodes=1000):
-    """Random container tree; returns (doc, {id(obj): path_sum})."""
+    """Random container tree with text-block leaves; returns
+    (doc, {id(obj): path_sum})."""
     objects = []
     expected = {}
-    all_objs = []
+    containers = []
     for _ in range(nodes):
         rel = (rng.uniform(-20, 20), rng.uniform(-20, 20))
-        obj = PageObject(kind="container", relative_start=rel)
-        if all_objs and rng.random() < 0.7:
-            parent = rng.choice(all_objs)
+        if rng.random() < 0.3:
+            obj = PageObject(kind="text_block", relative_start=rel,
+                             block=TextBlock("t"))
+        else:
+            obj = PageObject(kind="container", relative_start=rel)
+        if containers and rng.random() < 0.7:
+            parent = rng.choice(containers)
             parent.children.append(obj)
             px, py = expected[id(parent)]
             expected[id(obj)] = (px + rel[0], py + rel[1])
         else:
             objects.append(obj)
             expected[id(obj)] = rel
-        all_objs.append(obj)
+        if obj.block is None:
+            containers.append(obj)
     page = Page(number=1, width=612, height=792, objects=objects)
-    return ReplicaDocument(pages=[page], page_width=612, page_height=792), expected
+    return ReplicaDocument(pages=[page]), expected
 
 
 def test_resolution_matches_path_sum_oracle():
@@ -114,6 +121,8 @@ def test_resolution_matches_path_sum_oracle():
         for _, obj in doc.iter_objects():
             want = expected[id(obj)]
             assert obj.absolute_start == pytest.approx(want)
+            assert obj.block is None or (
+                (obj.block.x, obj.block.y) == obj.absolute_start)
 
 
 def test_resolution_idempotent():
@@ -167,7 +176,7 @@ def test_internal_gap_spans():
     html = page_html('<div class="t x1 y1 hh fs">ab<span class="_g"> </span>cd</div>')
     blocks = enumerate_blocks(resolve_absolute(parse_replica(html, css)))
     assert blocks[0].text == "ab cd"
-    assert blocks[0].internal_gaps == [(2, 60.0)]
+    assert blocks[0].internal_gaps == [60.0]
 
 
 def test_bytes_input_accepted():
@@ -254,7 +263,7 @@ def test_top_origin_fallback():
                      '<div class="t x1 tn hh fs">above</div>')
     doc = resolve_absolute(parse_replica(html, css))
     # y = page_height - top - height = 792 - 78 - 14, and 792 + 5 - 14
-    assert [b.absolute_start for b in enumerate_blocks(doc)] == [
+    assert [(b.x, b.y) for b in enumerate_blocks(doc)] == [
         (72.0, 700.0), (72.0, 783.0)]
     assert doc.warnings.count("converted a top-origin coordinate") == 2
     # a second call, as extract makes on a caller-resolved document,
@@ -278,8 +287,7 @@ def test_resolution_chain_is_prefix_sum(offsets):
             parent.children.append(obj)
         parent = obj
     doc = ReplicaDocument(
-        pages=[Page(number=1, width=612, height=792, objects=root_objects)],
-        page_width=612, page_height=792)
+        pages=[Page(number=1, width=612, height=792, objects=root_objects)])
     resolve_absolute(doc)
     sx = sy = 0.0
     for (dx, dy), (_, obj) in zip(offsets, doc.iter_objects()):
