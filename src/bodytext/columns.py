@@ -12,6 +12,8 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 from .errors import PipelineError
 from .metrics import Line, PageLines, PageLineTree, Thresholds, _mode
@@ -132,7 +134,8 @@ def bt_area(model: ColumnModel, width: int) -> tuple[int, int]:
 
 
 def assign_columns(tree: PageLineTree, model, thresholds: Thresholds) -> None:
-    """Split each visual row by column and tag spanning inserts.
+    """Split each visual row by column, tag spanning inserts, and leave each
+    page's lines in reading order.
 
     Rows are reshaped in place into per-column lines carrying column_id.
     With exactly two major columns, a row with a block starting beyond the
@@ -142,22 +145,29 @@ def assign_columns(tree: PageLineTree, model, thresholds: Thresholds) -> None:
     boundary (a short closing line of the insert) are absorbed into the
     region, keeping it vertically contiguous.  With one major column this
     is a no-op beyond tagging.
+
+    The reading order is fixed here, once: per page, the bands of rows with
+    one spanning status top-down.  A spanning band keeps its rows; a
+    columnar band lists its lines column by column, leftmost first.
     """
     for page in tree.pages:
-        page_model = model.for_page(page.page_number)
-        lefts = page_model.column_lefts
+        lefts = model.for_page(page.page_number).column_lefts
         rows = sorted(page.lines, key=lambda ln: -ln.y)
         spanning = [False] * len(rows)
         if len(lefts) == 2:
             spanning = _spanning_rows(rows, lefts, thresholds)
         new_lines: list[Line] = []
-        for row, is_span in zip(rows, spanning):
+        for is_span, band in groupby(zip(rows, spanning), key=itemgetter(1)):
             if is_span:
-                row.column_id = SPAN_COLUMN
-                new_lines.append(row)
+                for row, _ in band:
+                    row.column_id = SPAN_COLUMN
+                    new_lines.append(row)
             else:
-                new_lines.extend(_split_row(row, lefts))
-        new_lines.sort(key=lambda ln: (-ln.y, ln.column_id))
+                # rows fall strictly in y, so a stable sort by column keeps
+                # each column top-down
+                new_lines.extend(sorted(
+                    (ln for row, _ in band for ln in _split_row(row, lefts)),
+                    key=attrgetter("column_id")))
         page.lines = new_lines
 
 
@@ -225,7 +235,7 @@ def _split_row(row: Line, lefts: list[int]) -> list[Line]:
 
 @dataclass
 class Segment:
-    """A run of lines read consecutively: one column of one vertical band."""
+    """A maximal run of consecutive lines of one page with one column_id."""
 
     page: PageLines
     column_id: int
@@ -236,10 +246,10 @@ class Segment:
 def iter_segments(tree: PageLineTree, model) -> list[Segment]:
     """Reading order over the whole document.
 
-    Per page, lines are walked top-down and chopped into vertical bands
-    wherever spanning status flips.  A spanning band is one segment; a
-    columnar band yields one segment per column, leftmost first.  The
-    backward removal traversal is exactly this order reversed.
+    ``assign_columns`` leaves each page's lines in reading order, and
+    removal only deletes lines or replaces them in place, so the segments
+    are each page's maximal runs of lines with one column_id.  The backward
+    removal traversal is exactly this order reversed.
 
     Each segment carries the left boundary used by indentation-based tests.
     Columnar segments take their column's detected boundary.  A spanning
@@ -251,34 +261,13 @@ def iter_segments(tree: PageLineTree, model) -> list[Segment]:
     segments: list[Segment] = []
     for page in tree.pages:
         page_model = model.for_page(page.page_number)
-        ordered = sorted(page.lines, key=lambda ln: (-ln.y, ln.column_id or 0))
-        band: list[Line] = []
-        band_span: bool | None = None
-        for line in ordered:
-            is_span = line.column_id == SPAN_COLUMN
-            if band_span is None or is_span == band_span:
-                band.append(line)
-            else:
-                segments.extend(_band_segments(page, band, band_span, page_model))
-                band = [line]
-            band_span = is_span
-        if band:
-            segments.extend(_band_segments(page, band, band_span, page_model))
+        for cid, run in groupby(page.lines, key=attrgetter("column_id")):
+            lines = list(run)
+            left = (_flush_left(lines, page_model) if cid == SPAN_COLUMN
+                    else page_model.column_left(cid))
+            segments.append(Segment(page=page, column_id=cid, lines=lines,
+                                    column_left=left))
     return segments
-
-
-def _band_segments(page: PageLines, band: list[Line], spanning: bool,
-                   model: ColumnModel):
-    if spanning:
-        return [Segment(page=page, column_id=SPAN_COLUMN, lines=band,
-                        column_left=_flush_left(band, model))]
-    by_column: dict[int, list[Line]] = {}
-    for line in band:
-        by_column.setdefault(line.column_id or 0, []).append(line)
-    return [Segment(page=page, column_id=cid,
-                    lines=sorted(by_column[cid], key=lambda ln: -ln.y),
-                    column_left=model.column_left(cid))
-            for cid in sorted(by_column)]
 
 
 def _flush_left(band: list[Line], model: ColumnModel) -> int:

@@ -8,6 +8,7 @@ density.  Lines are formed greedily from blocks sorted by descending y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -41,8 +42,10 @@ class Thresholds:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"threshold {f.name} must be positive")
+            value = getattr(self, f.name)
+            if not (0 < value < math.inf):
+                raise ValueError(f"threshold {f.name} must be positive and "
+                                 f"finite, not {value}")
 
     @classmethod
     def from_file(cls, path) -> "Thresholds":
@@ -65,7 +68,10 @@ class Thresholds:
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: {value.strip()!r} is not "
                                   f"a number") from None
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
     def replace(self, **overrides) -> "Thresholds":
         values = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -208,7 +214,7 @@ def base_cbd(tree: PageLineTree) -> float:
     densities = [line.density for line in tree.all_lines()]
     if not densities:
         raise PipelineError("no lines: cannot compute the density baseline")
-    return sum(densities) / len(densities)
+    return math.fsum(densities) / len(densities)
 
 
 def compute_stats(tree: PageLineTree, model, base_fs: float) -> DocumentStats:

@@ -303,7 +303,7 @@ def remove_special_lines(tree: PageLineTree, model, thresholds: Thresholds,
 def _drop_lines(tree: PageLineTree, reasons: dict[int, str],
                 log: RemovalLog) -> None:
     """Remove every line keyed by id in ``reasons``, logging its reason,
-    in page order."""
+    in reading order; the kept lines keep their order."""
     for page in tree.pages:
         kept = []
         for line in page.lines:

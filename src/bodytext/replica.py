@@ -130,7 +130,8 @@ class ReplicaDocument:
 # ---------------------------------------------------------------------------
 
 _RULE_RE = re.compile(r"\.([-\w]+)\s*\{([^}]*)\}")
-_NUM_RE = re.compile(r"^(-?\d+(?:\.\d+)?)(px|pt)?$")
+# a CSS number, unitless, in px, or in pt (4/3 px)
+_NUM_RE = re.compile(r"^([+-]?(?:\d*\.)?\d+(?:[eE][+-]?\d+)?)(px|pt)?$")
 _MATRIX_RE = re.compile(r"matrix\(\s*([^)]*)\)")
 _ROTATE_RE = re.compile(r"rotate\(\s*(-?\d+(?:\.\d+)?)deg\s*\)")
 
@@ -147,7 +148,8 @@ def _parse_declarations(body: str) -> dict[str, object]:
         if name in _NUMERIC_PROPS:
             m = _NUM_RE.match(value)
             if m:
-                props[name] = float(m.group(1))
+                number = float(m[1])
+                props[name] = number * 4 / 3 if m[2] == "pt" else number
         elif name in ("transform", "-webkit-transform"):
             mat = _parse_transform(value)
             if mat is not None:

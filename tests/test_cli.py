@@ -64,6 +64,16 @@ def test_extract_config_file(fixture_files):
                  "--config", str(conf)]) == 0
 
 
+@pytest.mark.parametrize("flags", [["--delta1", "nan"], ["--delta1", "inf"],
+                                   ["--gamma2", "nan"], ["--config", "{conf}"]])
+def test_extract_bad_thresholds_are_format_errors(fixture_files, flags):
+    tmp, fx = fixture_files
+    conf = tmp / "thresholds.conf"
+    conf.write_text("gamma1 = -1\n")
+    assert main(["extract", str(tmp / "doc.html"), "-o", str(tmp / "o.txt"),
+                 *(f.format(conf=conf) for f in flags)]) == 2
+
+
 def test_extract_empty_html_errors(tmp_path):
     empty = tmp_path / "empty.html"
     empty.write_text("", encoding="utf-8")

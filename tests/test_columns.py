@@ -8,6 +8,7 @@ from bodytext.columns import (SPAN_COLUMN, assign_columns, bt_area,
                               detect_columns, iter_segments, sweep)
 from bodytext.errors import PipelineError
 from bodytext.metrics import Thresholds, group_lines
+from bodytext.removal import RemovalLog, _drop_lines
 from helpers import block, line, tree, two_column_model
 
 T = Thresholds()
@@ -166,6 +167,8 @@ def test_assign_spanning_region():
     segs = iter_segments(t, two_column_model())
     assert [s.column_id for s in segs] == [SPAN_COLUMN, 0, 1]
     assert segs[0].column_left == 150
+    # the page's lines already are the reading order
+    assert [ln for s in segs for ln in s.lines] == t.pages[0].lines
 
 
 def test_assign_single_column_noop():
@@ -196,3 +199,23 @@ def test_backward_order_is_reverse_reading_order():
     segs = iter_segments(t, model)
     forward = [ln.text for s in segs for ln in s.lines]
     assert forward == [f"L{i}" for i in range(6)] + [f"R{i}" for i in range(6)]
+
+
+def test_band_order_survives_removal_of_a_spanning_band():
+    rows = [line([f"a{i}", f"b{i}"], y=700 - 14 * i, x=72, step=240)
+            for i in range(3)]
+    rows += [line([f"s{i}", "wide"], y=650 - 14 * i, x=150, step=300)
+             for i in range(2)]
+    rows += [line([f"c{i}", f"d{i}"], y=600 - 14 * i, x=72, step=240)
+             for i in range(2)]
+    t = tree(rows)
+    model = two_column_model()
+    assign_columns(t, model, T)
+    spanning = {id(ln): "test" for ln in t.pages[0].lines
+                if ln.column_id == SPAN_COLUMN}
+    assert len(spanning) == 2
+    _drop_lines(t, spanning, RemovalLog())
+    # the left column below the insert is still read after the right
+    # column above it
+    assert [[ln.text for ln in s.lines] for s in iter_segments(t, model)] == [
+        ["a0", "a1", "a2"], ["b0", "b1", "b2"], ["c0", "c1"], ["d0", "d1"]]

@@ -21,8 +21,9 @@ def test_threshold_defaults():
 
 
 def test_thresholds_must_be_positive():
-    with pytest.raises(ValueError):
-        Thresholds(delta1=0)
+    for bad in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Thresholds(delta1=bad)
 
 
 def test_thresholds_from_file(tmp_path):

@@ -68,11 +68,15 @@ def test_rule_object_and_container():
 
 def test_resolve_parent_child():
     html = page_html('<div class="c x2 y2">'
-                     '<div class="t xb yb hh fs">child</div></div>')
-    css = CSS + ".xb { left: 10px; } .yb { bottom: 5px; }"
+                     '<div class="t xb yb hh fs">child</div>'
+                     '<div class="t xp yd hh fs">pt, leading dot</div>'
+                     '<div class="t xe yn hh fs">exponents</div></div>')
+    css = CSS + (".xb { left: 10px; } .yb { bottom: 5px; }"
+                 ".xp { left: 7.5pt; } .yd { bottom: .5px; }"
+                 ".xe { left: 1e2px; } .yn { bottom: -2.5E-1px; }")
     doc = resolve_absolute(parse_replica(html, css))
-    child = enumerate_blocks(doc)[0]
-    assert (child.x, child.y) == (110.0, 505.0)
+    assert [(b.x, b.y) for b in enumerate_blocks(doc)] == [
+        (110.0, 505.0), (110.0, 500.5), (200.0, 499.75)]
 
 
 def test_resolve_three_level_chain():
