@@ -216,6 +216,17 @@ class _Node:
         self.gaps: list[float] = []
 
 
+def _char(name: str) -> str | None:
+    """The character of a numeric reference (``65``, ``x41``), or None for
+    a code point that is a surrogate or beyond U+10FFFF."""
+    hexa = name[0] in "xX"
+    digits = name[hexa:].lstrip("0")
+    if len(digits) > 7:
+        return None
+    cp = int(digits or "0", 16 if hexa else 10)
+    return None if cp > 0x10FFFF or 0xD800 <= cp < 0xE000 else chr(cp)
+
+
 class _ReplicaParser(HTMLParser):
     def __init__(self, source, classmap, strict):
         super().__init__(convert_charrefs=False)
@@ -381,19 +392,18 @@ class _ReplicaParser(HTMLParser):
         start = self._offset()
         self._append_text(data, start, start + len(data))
 
+    def _append_ref(self, decoded, start, length):
+        # a reference's range ends where it does, ";" only if present; one
+        # that cannot be decoded stays as its literal source text, 1:1
+        end = start + length + self.source.startswith(";", start + length)
+        self._append_text(decoded or self.source[start:end], start, end)
+
     def handle_entityref(self, name):
-        start = self._offset()
-        decoded = _ENTITIES.get(name + ";", "&" + name + ";")
-        self._append_text(decoded, start, start + len(name) + 2)
+        self._append_ref(_ENTITIES.get(name + ";"), self._offset(),
+                         len(name) + 1)
 
     def handle_charref(self, name):
-        start = self._offset()
-        try:
-            cp = int(name[1:], 16) if name.startswith(("x", "X")) else int(name)
-            decoded = chr(cp)
-        except ValueError:
-            decoded = "&#" + name + ";"
-        self._append_text(decoded, start, start + len(name) + 3)
+        self._append_ref(_char(name), self._offset(), len(name) + 2)
 
     def close(self):
         super().close()

@@ -335,3 +335,22 @@ def test_gap_span_inside_highlight_nests():
     assert strip_highlights(out) == doc.source.encode()
     doc2 = resolve_absolute(parse_replica(out, css))
     assert enumerate_blocks(doc2)[0].text == "ab cd"
+
+
+@pytest.mark.parametrize("ref, text", [
+    ("a&amp b", "a& b"),                      # no ";": range ends at "p"
+    ("a&#65 b", "aA b"),
+    ("AT&T", "AT&T"),                         # unknown name, ends a block
+    ("&#9999999999999999999;", "&#9999999999999999999;"),    # too large
+    ("&#xD800;", "&#xD800;"),                 # a surrogate
+], ids=["named-without-semicolon", "numeric-without-semicolon",
+        "unknown-name", "code-point-too-large", "surrogate"])
+def test_character_reference_round_trip(ref, text):
+    fixture = scaling_doc(1)
+    html = fixture.html.replace("uniform lines<", f"uniform {ref}<", 1)
+    result = extract(html, fixture.css)
+    assert f"uniform {text} to measure".encode() in result.bt_bytes
+    sentence = next(s.text for s in result.body.sentences() if text in s.text)
+    out = inject_colors(result.doc, [
+        (locate_sentence(result.stream, sentence), "#f00")])
+    assert strip_highlights(out) == html.encode()
