@@ -219,8 +219,9 @@ def _split_row(row: Line, lefts: list[int]) -> list[Line]:
     buckets: dict[int, list] = {}
     for block in row.blocks:
         cid = 0
+        # the sweep found each left at a rounded x, so test the same
         for i, left in enumerate(lefts):
-            if block.x >= left:
+            if round(block.x) >= left:
                 cid = i
         buckets.setdefault(cid, []).append(block)
     lines = []

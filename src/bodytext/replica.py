@@ -20,6 +20,17 @@ Geometry conventions understood by the ingester:
   (images and drawn rules).
 * spans are inline and transparent; a span whose class resolves a ``width``
   marks extra inserted spacing inside a text block.
+* a ``transform`` that cannot be read leaves the block upright, with a
+  warning; ``rotate()`` takes every CSS angle unit.
+
+The markup is read in one pass of one compiled token pattern, so source
+offsets are match positions; ``script`` and ``style`` content is skipped.
+A ``<`` ends a tag's name and unquoted attributes, and an unterminated
+comment runs to the end of the input, which keeps the scan linear.  Each
+distinct start tag and (class, style) pair is read once.  A character
+reference's source range ends where it does (``;`` only if present); one
+that cannot be decoded (an unknown name, a surrogate or a code point
+beyond U+10FFFF) stays as its literal source text, mapped 1:1.
 """
 
 from __future__ import annotations
@@ -27,8 +38,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from html import unescape as _unescape
 from html.entities import html5 as _ENTITIES
-from html.parser import HTMLParser
 from pathlib import Path
 
 from .errors import ReplicaFormatError, ReplicaParseError
@@ -130,14 +141,19 @@ class ReplicaDocument:
 # ---------------------------------------------------------------------------
 
 _RULE_RE = re.compile(r"\.([-\w]+)\s*\{([^}]*)\}")
+_NUMBER = r"[+-]?(?:\d*\.)?\d+(?:[eE][+-]?\d+)?"
 # a CSS number, unitless, in px, or in pt (4/3 px)
-_NUM_RE = re.compile(r"^([+-]?(?:\d*\.)?\d+(?:[eE][+-]?\d+)?)(px|pt)?$")
+_NUM_RE = re.compile(rf"^({_NUMBER})(px|pt)?$")
 _MATRIX_RE = re.compile(r"matrix\(\s*([^)]*)\)")
-_ROTATE_RE = re.compile(r"rotate\(\s*(-?\d+(?:\.\d+)?)deg\s*\)")
+_ROTATE_RE = re.compile(rf"rotate\(\s*({_NUMBER})(deg|g?rad|turn)\s*\)", re.I)
+_RADIANS_PER = {"deg": math.pi / 180, "grad": math.pi / 200, "rad": 1.0,
+                "turn": 2 * math.pi}
 
 
 def _parse_declarations(body: str) -> dict[str, object]:
-    """Parse a CSS declaration block into the properties we understand."""
+    """Parse a CSS declaration block into the properties we understand.
+
+    A ``transform`` that cannot be read is kept as None."""
     props: dict[str, object] = {}
     for decl in body.split(";"):
         if ":" not in decl:
@@ -151,16 +167,16 @@ def _parse_declarations(body: str) -> dict[str, object]:
                 number = float(m[1])
                 props[name] = number * 4 / 3 if m[2] == "pt" else number
         elif name in ("transform", "-webkit-transform"):
-            mat = _parse_transform(value)
-            if mat is not None:
-                props["transform"] = mat
+            props["transform"] = _parse_transform(value)
     return props
 
 
 def _parse_transform(value: str) -> tuple[float, float, float, float] | None:
+    if value.lower() == "none":
+        return IDENTITY
     m = _MATRIX_RE.search(value)
     if m:
-        parts = [p.strip() for p in m.group(1).replace(",", " ").split()]
+        parts = m.group(1).replace(",", " ").split()
         if len(parts) >= 4:
             try:
                 a, b, c, d = (float(p) for p in parts[:4])
@@ -169,7 +185,7 @@ def _parse_transform(value: str) -> tuple[float, float, float, float] | None:
                 return None
     m = _ROTATE_RE.search(value)
     if m:
-        t = math.radians(float(m.group(1)))
+        t = float(m[1]) * _RADIANS_PER[m[2].lower()]
         return (math.cos(t), math.sin(t), -math.sin(t), math.cos(t))
     return None
 
@@ -196,111 +212,215 @@ _STYLE_BLOCK_RE = re.compile(r"<style[^>]*>(.*?)</style>", re.S | re.I)
 # HTML parsing
 # ---------------------------------------------------------------------------
 
+# One token per match; the group that closes last (``lastindex``) names its
+# kind, and a comment, doctype or processing instruction has none.  Each
+# alternative reads a stretch of input one way only, and a tag stops at a
+# '<' outside quotes, so a failed match costs the text it read up to there.
+_TOKEN_RE = re.compile(r"""
+    ([^<&]+)                                            # 1 text
+  | <([a-zA-Z][^\t\n\r\f\ />\x00<]*)                    # 2 start tag name,
+    ([^<>"']*(?:(?:"[^"]*"|'[^']*')[^<>"']*)*)>         # 3 and the rest
+  | </\s*([a-zA-Z][^\t\n\r\f\ />\x00<]*)[^<>]*>         # 4 end tag name
+  | <!--.*?(?:--\s*>|\Z) | <[!?/][^<>]*>
+  | &\#([0-9]+|[xX][0-9a-fA-F]+)(?=[^0-9a-fA-F]);?      # 5 numeric reference
+  | &([a-zA-Z][-.a-zA-Z0-9]*)(?=[^a-zA-Z0-9]);?         # 6 named reference
+  | (&\#?|<)                                            # 7 stray '&' or '<'
+""", re.X | re.S)
+# attributes as the standard library's tolerant HTML parser reads them
+_ATTR_GAP_RE = re.compile(r"(?:\s|/(?!>))*")
+_ATTR_RE = re.compile(r"""((?<=['"\s/])[^\s/>][^\s/=>]*)"""
+                      r"""(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?"""
+                      r"""(?:\s|/(?!>))*""")
+# elements whose content is raw text, skipped up to the closing tag
+_RAW_TEXT_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
+                 for tag in ("script", "style")}
 
-class _Node:
-    """Builder-side element state while its tag is open."""
 
-    __slots__ = ("tag", "attrs", "classes", "inline_style", "children",
-                 "text", "text_len", "segments", "gaps")
+def _read_attrs(rest: str):
+    """``(attrs, (class, style), self_closing)`` of a start tag, from its
+    text between the name and the closing '>'.  Names are lower-cased and
+    values unescaped."""
+    text = rest + ">"
+    attrs: dict[str, str | None] = {}
+    k = _ATTR_GAP_RE.match(text).end()
+    while m := _ATTR_RE.match(text, k):
+        name, assign, value = m.groups()
+        if not assign:
+            value = None
+        elif value[:1] in ("'", '"') and value[-1:] == value[:1]:
+            value = value[1:-1]
+        attrs[name.lower()] = _unescape(value) if value else value
+        k = m.end()
+    key = (attrs.get("class") or "", attrs.get("style") or "")
+    return attrs, key, text[k:].strip() == "/>"
 
-    def __init__(self, tag, attrs):
-        self.tag = tag
-        self.attrs = dict(attrs)
-        cls = self.attrs.get("class") or ""
-        self.classes = cls.split()
-        self.inline_style = self.attrs.get("style") or ""
-        self.children: list[PageObject] = []
-        self.text: list[str] = []
-        self.text_len = 0                # total length of the text pieces
-        self.segments: list[TextSegment] = []
-        self.gaps: list[float] = []
 
-
-def _char(name: str) -> str | None:
+def _char(digits: str) -> str | None:
     """The character of a numeric reference (``65``, ``x41``), or None for
     a code point that is a surrogate or beyond U+10FFFF."""
-    hexa = name[0] in "xX"
-    digits = name[hexa:].lstrip("0")
+    hexa = digits[0] in "xX"
+    digits = digits[hexa:].lstrip("0")
     if len(digits) > 7:
         return None
     cp = int(digits or "0", 16 if hexa else 10)
     return None if cp > 0x10FFFF or 0xD800 <= cp < 0xE000 else chr(cp)
 
 
-class _ReplicaParser(HTMLParser):
+class _Node:
+    """Builder-side element state while its tag is open; ``pieces`` holds
+    the (decoded text, source start, source end) of each text run."""
+
+    __slots__ = ("tag", "attrs", "key", "children", "pieces", "gaps")
+
+    def __init__(self, tag, attrs, key):
+        self.tag = tag
+        self.attrs = attrs
+        self.key = key
+        self.children: list[PageObject] = []
+        self.pieces: list[tuple[str, int, int]] = []
+        self.gaps: list[float] = []
+
+
+class _Style:
+    """What the builder reads from the resolved properties of one (class,
+    style) pair.  ``rotated``: whether the transform turns text off the
+    horizontal, None when it cannot be read."""
+
+    __slots__ = ("rel", "width", "height", "top", "font_size", "rotated")
+
+    def __init__(self, props: dict[str, object]):
+        self.rel = (float(props.get("left", 0.0)),
+                    float(props.get("bottom", 0.0)))
+        self.width = props.get("width")
+        self.height = props.get("height")
+        top = props.get("top") if "bottom" not in props else None
+        self.top = None if top is None else float(top)
+        self.font_size = float(props.get("font-size", 0.0))
+        matrix = props.get("transform", IDENTITY)
+        self.rotated = None if matrix is None else any(
+            abs(a - b) > 1e-9 for a, b in zip(matrix, IDENTITY))
+
+
+class _ReplicaParser:
+    """Builds the object tree in one pass of _TOKEN_RE over the source.
+
+    Equal start-tag texts share one attribute dict, and each distinct
+    (class, style) pair is resolved once, when the first element carrying
+    it closes, so warnings keep their order.
+    """
+
     def __init__(self, source, classmap, strict):
-        super().__init__(convert_charrefs=False)
         self.source = source
         self.classmap = classmap
         self.strict = strict
         self.warnings: list[str] = []
         self.stack: list[_Node] = []
+        self.divs: list[_Node] = []     # the open divs, innermost last
         self.top_level: list[PageObject] = []
-        self._line_offsets = [0] + [m.end()
-                                    for m in re.finditer("\n", source)]
         self._unknown: set[str] = set()
+        self._tags: dict[str, tuple] = {}
+        self._styles: dict[tuple[str, str], _Style] = {}
 
-    # -- position helpers ---------------------------------------------------
-
-    def _offset(self) -> int:
-        line, col = self.getpos()
-        return self._line_offsets[line - 1] + col
-
-    def _fail(self, message):
-        offset = len(self.source[: self._offset()].encode("utf-8"))
+    def _fail(self, message, offset):
+        offset = len(self.source[:offset].encode("utf-8"))
         raise ReplicaParseError(message, offset)
+
+    def parse(self) -> list[PageObject]:
+        source, stack, divs, tags = (self.source, self.stack, self.divs,
+                                     self._tags)
+        pos = 0
+        while pos is not None:
+            tokens, pos = _TOKEN_RE.finditer(source, pos), None
+            for m in tokens:
+                kind = m.lastindex
+                if kind == 1 or kind == 7:
+                    text = m[kind]
+                elif kind == 3:
+                    parsed = tags.get(m[3])
+                    if parsed is None:
+                        parsed = tags[m[3]] = _read_attrs(m[3])
+                    tag = m[2].lower()
+                    if tag in _RAW_TEXT_END and not parsed[2]:
+                        end = _RAW_TEXT_END[tag].search(source, m.end())
+                        if end is None:
+                            self._fail(f"unclosed <{tag}> at end of input",
+                                       m.end())
+                        pos = end.end()
+                        break
+                    self._start_tag(tag, *parsed)
+                    continue
+                elif kind == 4:
+                    self._end_tag(m[4].lower(), m.start())
+                    continue
+                elif kind == 5:
+                    # a reference that cannot be decoded stays literal
+                    text = _char(m[5]) or m[0]
+                elif kind == 6:
+                    text = _ENTITIES.get(m[6] + ";") or m[0]
+                else:                            # comment, doctype, PI
+                    continue
+                if stack and stack[-1].tag == "title":
+                    continue
+                if divs:
+                    divs[-1].pieces.append((text, m.start(), m.end()))
+                elif text.strip():
+                    self.warnings.append(f"text outside any element "
+                                         f"ignored: {text.strip()[:30]!r}")
+        if stack:
+            self._fail(f"unclosed <{stack[-1].tag}> at end of input",
+                       len(source))
+        return self.top_level
 
     # -- class resolution ---------------------------------------------------
 
-    def _resolve(self, node: _Node) -> dict[str, object]:
-        props: dict[str, object] = {}
-        for cls in node.classes:
-            rule = self.classmap.get(cls)
-            if rule is None:
-                if cls != HL_CLASS and cls not in self._unknown:
-                    self._unknown.add(cls)
-                    msg = f"unknown class {cls!r}; defaulting its properties to 0"
-                    if self.strict:
-                        raise ReplicaFormatError(msg)
-                    self.warnings.append(msg)
-                continue
-            props.update(rule)
-        if node.inline_style:
-            props.update(_parse_declarations(node.inline_style))
-        return props
+    def _resolve(self, key: tuple[str, str]) -> _Style:
+        """The resolved style of a (class, style) pair."""
+        found = self._styles.get(key)
+        if found is None:
+            classes, style = key
+            props: dict[str, object] = {}
+            for cls in classes.split():
+                rule = self.classmap.get(cls)
+                if rule is None:
+                    if cls != HL_CLASS and cls not in self._unknown:
+                        self._unknown.add(cls)
+                        msg = (f"unknown class {cls!r}; defaulting its "
+                               f"properties to 0")
+                        if self.strict:
+                            raise ReplicaFormatError(msg)
+                        self.warnings.append(msg)
+                    continue
+                props.update(rule)
+            if style:
+                props.update(_parse_declarations(style))
+            found = self._styles[key] = _Style(props)
+        return found
 
-    # -- tag handlers ---------------------------------------------------------
+    # -- tree building --------------------------------------------------------
 
-    def handle_starttag(self, tag, attrs):
-        if tag in _VOID_TAGS:
-            self.handle_startendtag(tag, attrs)
-            return
-        self.stack.append(_Node(tag, attrs))
+    def _start_tag(self, tag, attrs, key, self_closing):
+        if tag == "img":
+            style = self._resolve(key)
+            self._attach(PageObject(kind="image", relative_start=style.rel,
+                                    width=style.width, height=style.height))
+        elif not (self_closing or tag in _VOID_TAGS):
+            node = _Node(tag, attrs, key)
+            self.stack.append(node)
+            if tag == "div":
+                self.divs.append(node)
 
-    def handle_startendtag(self, tag, attrs):
-        if tag != "img":
-            return
-        node = _Node(tag, attrs)
-        props = self._resolve(node)
-        obj = PageObject(
-            kind="image",
-            relative_start=(props.get("left", 0.0), props.get("bottom", 0.0)),
-            width=props.get("width"),
-            height=props.get("height"),
-        )
-        self._attach(obj)
-
-    def handle_endtag(self, tag):
+    def _end_tag(self, tag, offset):
         if tag in _VOID_TAGS:
             return
-        if not self.stack:
-            self._fail(f"unexpected closing tag </{tag}>")
-        if self.stack[-1].tag != tag:
-            self._fail(
-                f"mismatched closing tag </{tag}> (open element is "
-                f"<{self.stack[-1].tag}>)")
-        node = self.stack.pop()
+        stack = self.stack
+        if not stack:
+            self._fail(f"unexpected closing tag </{tag}>", offset)
+        if stack[-1].tag != tag:
+            self._fail(f"mismatched closing tag </{tag}> (open element is "
+                       f"<{stack[-1].tag}>)", offset)
+        node = stack.pop()
         if tag == "div":
+            self.divs.pop()
             self._close_div(node)
         elif tag == "span":
             self._close_span(node)
@@ -309,106 +429,59 @@ class _ReplicaParser(HTMLParser):
     def _close_span(self, node: _Node):
         # Inline and transparent: text already flowed into the nearest div.
         # A width-resolving class marks inserted spacing inside a text block.
-        props = self._resolve(node)
-        host = self._nearest_div()
-        if host is None:
-            return
-        if "width" in props:
-            host.gaps.append(float(props["width"]))
+        width = self._resolve(node.key).width
+        if self.divs and width is not None:
+            self.divs[-1].gaps.append(float(width))
 
     def _close_div(self, node: _Node):
-        props = self._resolve(node)
-        text = "".join(node.text)
-        rel = (float(props.get("left", 0.0)), float(props.get("bottom", 0.0)))
+        style = self._resolve(node.key)
+        text = "".join([piece for piece, _, _ in node.pieces])
+        width = style.width
+        block = None
         if node.children:
             kind = "container"
             if text.strip():
                 self.warnings.append(
                     f"stray text {text.strip()[:30]!r} inside a container div")
-            obj = PageObject(kind=kind, relative_start=rel,
-                             width=props.get("width"), height=props.get("height"),
-                             children=node.children)
         elif text:
-            matrix = props.get("transform", IDENTITY)
+            kind, width = "text_block", None
+            segments, offset = [], 0
+            for piece, start, end in node.pieces:
+                segments.append(TextSegment(offset, len(piece), start, end))
+                offset += len(piece)
             block = TextBlock(
                 text=text.replace("\n", " "),
-                font_size=float(props.get("font-size", 0.0)),
-                rotated=any(abs(a - b) > 1e-9
-                            for a, b in zip(matrix, IDENTITY)),
+                font_size=style.font_size,
+                rotated=bool(style.rotated),
                 internal_gaps=node.gaps,
-                segments=node.segments,
+                segments=segments,
             )
             if "\n" in text:
                 self.warnings.append(
                     "line break inside a text block; replaced with a space")
-            if "width" in props:
+            if style.width is not None:
                 self.warnings.append(
                     f"text block {text[:30]!r} carries an explicit width")
-            obj = PageObject(kind="text_block", relative_start=rel,
-                             height=props.get("height"), block=block)
-        elif props.get("width") is not None and props.get("height") is not None:
-            obj = PageObject(kind="line", relative_start=rel,
-                             width=props.get("width"), height=props.get("height"))
+            if style.rotated is None:
+                self.warnings.append(
+                    f"text block {text[:30]!r} has a transform that cannot "
+                    f"be read; taken as upright")
+        elif width is not None and style.height is not None:
+            kind = "line"
         else:
-            obj = PageObject(kind="container", relative_start=rel,
-                             width=props.get("width"), height=props.get("height"))
-        obj.attrs = node.attrs
-        if "top" in props and "bottom" not in props:
-            obj.top = float(props["top"])
-        self._attach(obj)
-
-    def _nearest_div(self) -> _Node | None:
-        for node in reversed(self.stack):
-            if node.tag == "div":
-                return node
-        return None
+            kind = "container"
+        self._attach(PageObject(
+            kind=kind, relative_start=style.rel, width=width,
+            height=style.height, top=style.top, children=node.children,
+            block=block, attrs=node.attrs))
 
     def _attach(self, obj: PageObject):
         # spans are transparent: children attach to the nearest enclosing div,
         # keeping the pre-order identical to the source order
-        host = self._nearest_div()
-        if host is None:
-            self.top_level.append(obj)
+        if self.divs:
+            self.divs[-1].children.append(obj)
         else:
-            host.children.append(obj)
-
-    # -- character data -------------------------------------------------------
-
-    def _append_text(self, decoded: str, src_start: int, src_end: int):
-        if self.stack and self.stack[-1].tag in ("style", "script", "title"):
-            return
-        host = self._nearest_div()
-        if host is None:
-            if decoded.strip():
-                self.warnings.append(
-                    f"text outside any element ignored: {decoded.strip()[:30]!r}")
-            return
-        host.segments.append(TextSegment(host.text_len, len(decoded),
-                                         src_start, src_end))
-        host.text.append(decoded)
-        host.text_len += len(decoded)
-
-    def handle_data(self, data):
-        start = self._offset()
-        self._append_text(data, start, start + len(data))
-
-    def _append_ref(self, decoded, start, length):
-        # a reference's range ends where it does, ";" only if present; one
-        # that cannot be decoded stays as its literal source text, 1:1
-        end = start + length + self.source.startswith(";", start + length)
-        self._append_text(decoded or self.source[start:end], start, end)
-
-    def handle_entityref(self, name):
-        self._append_ref(_ENTITIES.get(name + ";"), self._offset(),
-                         len(name) + 1)
-
-    def handle_charref(self, name):
-        self._append_ref(_char(name), self._offset(), len(name) + 2)
-
-    def close(self):
-        super().close()
-        if self.stack:
-            self._fail(f"unclosed <{self.stack[-1].tag}> at end of input")
+            self.top_level.append(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +506,14 @@ def parse_replica(html, css=(), *, strict: bool = False) -> ReplicaDocument:
     if isinstance(css, (str, bytes)):
         css = (css,)
     sheets = list(css) + _STYLE_BLOCK_RE.findall(html)
-    classmap = parse_stylesheets(sheets)
+    parser = _ReplicaParser(html, parse_stylesheets(sheets), strict)
+    return _build_document(parser.parse(), parser.warnings, html)
 
-    parser = _ReplicaParser(html, classmap, strict)
-    parser.feed(html)
-    parser.close()
 
-    container = _find_container(parser.top_level)
+def _build_document(top_level, warnings, source) -> ReplicaDocument:
+    """The document of a parsed object tree: the pages of its page
+    container, checked and sorted by number."""
+    container = _find_container(top_level)
     if container is None:
         raise ReplicaFormatError('no <div id="page-container"> root found')
 
@@ -447,7 +521,7 @@ def parse_replica(html, css=(), *, strict: bool = False) -> ReplicaDocument:
     for obj in container.children:
         number = _page_number(obj.attrs)
         if number is None:
-            parser.warnings.append("non-page child of the page container skipped")
+            warnings.append("non-page child of the page container skipped")
             continue
         if obj.width is None or obj.height is None:
             raise ReplicaFormatError(f"page {number} has no resolved width/height")
@@ -463,10 +537,10 @@ def parse_replica(html, css=(), *, strict: bool = False) -> ReplicaDocument:
     first = pages[0]
     for page in pages:
         if page.width != first.width or page.height != first.height:
-            parser.warnings.append(
+            warnings.append(
                 f"page {page.number} size {page.width}x{page.height} differs "
                 f"from page 1")
-    return ReplicaDocument(pages=pages, warnings=parser.warnings, source=html)
+    return ReplicaDocument(pages=pages, warnings=warnings, source=source)
 
 
 def _find_container(objects) -> PageObject | None:

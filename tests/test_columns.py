@@ -8,7 +8,10 @@ from bodytext.columns import (SPAN_COLUMN, assign_columns, bt_area,
                               detect_columns, iter_segments, sweep)
 from bodytext.errors import PipelineError
 from bodytext.metrics import Thresholds, group_lines
+from bodytext.pipeline import extract, extract_from_document
 from bodytext.removal import RemovalLog, _drop_lines
+from bodytext.replica import parse_replica
+from fixtures import build_all
 from helpers import block, line, tree, two_column_model
 
 T = Thresholds()
@@ -219,3 +222,21 @@ def test_band_order_survives_removal_of_a_spanning_band():
     # column above it
     assert [[ln.text for ln in s.lines] for s in iter_segments(t, model)] == [
         ["a0", "a1", "a2"], ["b0", "b1", "b2"], ["c0", "c1"], ["d0", "d1"]]
+
+
+@pytest.mark.parametrize("dx", [-0.3, 0.6])
+@pytest.mark.parametrize("name", ["two_column", "abstract_insert",
+                                  "table_doc", "figure_doc",
+                                  "references_doc"])
+def test_subpixel_translation_keeps_columns(name, dx):
+    # the sweep finds a column left at a rounded x, so a second column at
+    # x = 311.7 peaks at 312 and must still be assigned to it
+    fixture = build_all()[name].fixture
+    plain = extract(fixture.html, fixture.css)
+    assert plain.model.k == 2
+    doc = parse_replica(fixture.html, fixture.css)
+    for page in doc.pages:
+        for obj in page.objects:
+            x, y = obj.relative_start
+            obj.relative_start = (x + dx, y)
+    assert extract_from_document(doc).bt_bytes == plain.bt_bytes

@@ -8,6 +8,7 @@ minimum of 3 runs.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from bodytext.assembly import segment_sentences
 from bodytext.errors import PipelineError
@@ -43,6 +44,40 @@ def _paragraph(chars: int) -> str:
 def test_segment_sentences_linear():
     ratio = _ratio(segment_sentences, _paragraph, 40_000)
     assert ratio < RATIO_BOUND, f"8x longer paragraph took {ratio:.1f}x"
+
+
+def _parse_fixture(fixture) -> None:
+    parse_replica(fixture.html, fixture.css)
+
+
+def test_parse_replica_linear():
+    ratio = _ratio(_parse_fixture, scaling_doc, 8)
+    assert ratio < RATIO_BOUND, f"8x more pages took {ratio:.1f}x"
+
+
+def _unterminated_tag(attributes: int):
+    # a start tag that never closes: a token pattern that retries its
+    # attributes in other splits fails here in quadratic time or worse
+    fixture = scaling_doc(1)
+    return replace(fixture,
+                   html=fixture.html + "<div" + ' class="t" x=1' * attributes)
+
+
+def test_unterminated_start_tag_linear():
+    ratio = _ratio(_parse_fixture, _unterminated_tag, 10_000)
+    assert ratio < RATIO_BOUND, f"8x more attributes took {ratio:.1f}x"
+
+
+def _open_comments(count: int):
+    fixture = scaling_doc(1)
+    return replace(fixture, html=fixture.html + "<!--" * count)
+
+
+def test_unterminated_comments_linear():
+    # each '<!--' that a scan for its '-->' runs to the end from makes
+    # the parse quadratic
+    ratio = _ratio(_parse_fixture, _open_comments, 2_000)
+    assert ratio < RATIO_BOUND, f"8x more comments took {ratio:.1f}x"
 
 
 def _whole_block_spans(pages: int):

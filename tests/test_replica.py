@@ -58,6 +58,33 @@ def test_rotation_flag():
     assert [b.rotated for b in blocks] == [True, False]
 
 
+@pytest.mark.parametrize("transform", [
+    "rotate(90deg)", "rotate(1.5708rad)", "rotate(100grad)",
+    "rotate(.25turn)", "rotate(90DEG)", "ROTATE( -.5E2deg )",
+    "rotate(+1e2grad)"])
+def test_rotation_in_every_angle_unit(transform):
+    css = CSS + f".rot {{ transform: {transform}; }}"
+    html = page_html('<div class="t x1 y1 hh fs rot">W</div>'
+                     f'<div class="t x2 y2 hh fs" style="transform: '
+                     f'{transform}">V</div>')
+    doc = parse_replica(html, css)
+    assert [b.rotated for b in enumerate_blocks(resolve_absolute(doc))] == [
+        True, True]
+    assert not doc.warnings
+
+
+@pytest.mark.parametrize("transform, warned", [
+    ("rotate(90)", True), ("skewX(10deg)", True), ("matrix(1, 0)", True),
+    ("none", False), ("rotate(0turn)", False)])
+def test_unreadable_transform_warns(transform, warned):
+    html = page_html(f'<div class="t x1 y1 hh fs" style="transform: '
+                     f'{transform}">W</div>')
+    doc = parse_replica(html, CSS)
+    assert not enumerate_blocks(resolve_absolute(doc))[0].rotated
+    assert any("transform that cannot be read" in w
+               for w in doc.warnings) == warned
+
+
 def test_rule_object_and_container():
     html = page_html('<div class="x1 y1 wimg hh"></div>'
                      '<div class="c x1 y2"><div class="t x1 y1 hh fs">in</div></div>')
