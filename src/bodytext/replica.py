@@ -60,8 +60,8 @@ class TextSegment:
     """Maps a run of a block's text onto the source markup.
 
     ``length`` decoded characters starting at ``text_offset`` occupy the
-    source range [src_start, src_end).  Plain data runs map 1:1; a character
-    reference maps one decoded character onto the whole entity.
+    source range [src_start, src_end).  Plain data runs map 1:1; a decoded
+    character reference maps its text onto the whole reference.
     """
 
     text_offset: int

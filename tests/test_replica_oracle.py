@@ -46,9 +46,9 @@ def test_scaling_documents_agree():
 
 
 _WORDS = ["alpha", "Beta", "x", " ", "  ", "\r\n", "\t", "a < b", "q > p"]
-# a numeric reference without ";" is followed by a space here: before a
-# hex digit the standard library's parser reads the rest of the input as
-# text, which differs between Python versions
+# a numeric reference without ";" is followed by a space here: a hex
+# digit would make it no reference at all, after which the standard
+# library's parser may read the rest of the input as text
 _REFS = ["&amp;", "&amp", "&lt;", "&#65;", "&#65 ", "&#x41;", "&#X41 ",
          "&#160;", "&T", "&T;", "&nbsp", "&#xD800;", "&#9999999;",
          "&notin", "&ampx;"]
