@@ -20,8 +20,10 @@ Geometry conventions understood by the ingester:
   (images and drawn rules).
 * spans are inline and transparent; a span whose class resolves a ``width``
   marks extra inserted spacing inside a text block.
-* a ``transform`` that cannot be read leaves the block upright, with a
-  warning; ``rotate()`` takes every CSS angle unit.
+* a ``transform`` rotates a text block when it maps the x axis off
+  itself, so a scale or a translation keeps it upright; one that cannot be
+  read leaves it upright, with a warning.  ``rotate()`` takes every CSS
+  angle unit.
 
 The markup is read in one pass of one compiled token pattern, so source
 offsets are match positions; ``script`` and ``style`` content is skipped.
@@ -43,8 +45,6 @@ from html.entities import html5 as _ENTITIES
 from pathlib import Path
 
 from .errors import ReplicaFormatError, ReplicaParseError
-
-IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 # Class of the wraps that highlighting injects.  It carries no geometry, so
 # the ingester treats it as known even though no style sheet defines it.
@@ -144,8 +144,10 @@ _RULE_RE = re.compile(r"\.([-\w]+)\s*\{([^}]*)\}")
 _NUMBER = r"[+-]?(?:\d*\.)?\d+(?:[eE][+-]?\d+)?"
 # a CSS number, unitless, in px, or in pt (4/3 px)
 _NUM_RE = re.compile(rf"^({_NUMBER})(px|pt)?$")
-_MATRIX_RE = re.compile(r"matrix\(\s*([^)]*)\)")
-_ROTATE_RE = re.compile(rf"rotate\(\s*({_NUMBER})(deg|g?rad|turn)\s*\)", re.I)
+_MATRIX_RE = re.compile(r"matrix\(\s*([^)]*)\)", re.I)
+_ROTATE_RE = re.compile(rf"rotate\(\s*({_NUMBER})(deg|g?rad|turn)?\s*\)", re.I)
+_SCALE_RE = re.compile(rf"scale(y?)x?\(\s*({_NUMBER})", re.I)
+_UPRIGHT_RE = re.compile(r"none|translate[xy]?\([^)]*\)", re.I)
 _RADIANS_PER = {"deg": math.pi / 180, "grad": math.pi / 200, "rad": 1.0,
                 "turn": 2 * math.pi}
 
@@ -153,7 +155,7 @@ _RADIANS_PER = {"deg": math.pi / 180, "grad": math.pi / 200, "rad": 1.0,
 def _parse_declarations(body: str) -> dict[str, object]:
     """Parse a CSS declaration block into the properties we understand.
 
-    A ``transform`` that cannot be read is kept as None."""
+    A ``transform`` is kept as its ``rotated`` flag (see _rotated)."""
     props: dict[str, object] = {}
     for decl in body.split(";"):
         if ":" not in decl:
@@ -167,27 +169,35 @@ def _parse_declarations(body: str) -> dict[str, object]:
                 number = float(m[1])
                 props[name] = number * 4 / 3 if m[2] == "pt" else number
         elif name in ("transform", "-webkit-transform"):
-            props["transform"] = _parse_transform(value)
+            props["rotated"] = _rotated(value)
     return props
 
 
-def _parse_transform(value: str) -> tuple[float, float, float, float] | None:
-    if value.lower() == "none":
-        return IDENTITY
+def _rotated(value: str) -> bool | None:
+    """Whether a CSS transform turns text off its left-to-right baseline,
+    that is, whether it maps the x axis anywhere but onto itself; None when
+    it cannot be read.  A scale or a translation keeps text upright."""
     m = _MATRIX_RE.search(value)
     if m:
-        parts = m.group(1).replace(",", " ").split()
+        parts = m[1].replace(",", " ").split()
         if len(parts) >= 4:
             try:
-                a, b, c, d = (float(p) for p in parts[:4])
-                return (a, b, c, d)
+                return _off_axis(float(parts[0]), float(parts[1]))
             except ValueError:
                 return None
     m = _ROTATE_RE.search(value)
+    if m and (m[2] or float(m[1]) == 0):     # only 0 may drop its unit
+        t = float(m[1]) * _RADIANS_PER[(m[2] or "rad").lower()]
+        return _off_axis(math.cos(t), math.sin(t))
+    m = _SCALE_RE.search(value)
     if m:
-        t = float(m[1]) * _RADIANS_PER[m[2].lower()]
-        return (math.cos(t), math.sin(t), -math.sin(t), math.cos(t))
-    return None
+        return not m[1] and float(m[2]) < 0
+    return False if _UPRIGHT_RE.fullmatch(value) else None
+
+
+def _off_axis(a: float, b: float) -> bool:
+    """Whether the image (a, b) of the unit x vector leaves the +x axis."""
+    return abs(b) > 1e-9 or a < 0
 
 
 def parse_stylesheets(sheets) -> dict[str, dict[str, object]]:
@@ -266,6 +276,11 @@ def _char(digits: str) -> str | None:
     return None if cp > 0x10FFFF or 0xD800 <= cp < 0xE000 else chr(cp)
 
 
+def _start(props) -> tuple[float, float]:
+    """The relative starting point of resolved properties."""
+    return float(props.get("left", 0.0)), float(props.get("bottom", 0.0))
+
+
 class _Node:
     """Builder-side element state while its tag is open; ``pieces`` holds
     the (decoded text, source start, source end) of each text run."""
@@ -279,26 +294,6 @@ class _Node:
         self.children: list[PageObject] = []
         self.pieces: list[tuple[str, int, int]] = []
         self.gaps: list[float] = []
-
-
-class _Style:
-    """What the builder reads from the resolved properties of one (class,
-    style) pair.  ``rotated``: whether the transform turns text off the
-    horizontal, None when it cannot be read."""
-
-    __slots__ = ("rel", "width", "height", "top", "font_size", "rotated")
-
-    def __init__(self, props: dict[str, object]):
-        self.rel = (float(props.get("left", 0.0)),
-                    float(props.get("bottom", 0.0)))
-        self.width = props.get("width")
-        self.height = props.get("height")
-        top = props.get("top") if "bottom" not in props else None
-        self.top = None if top is None else float(top)
-        self.font_size = float(props.get("font-size", 0.0))
-        matrix = props.get("transform", IDENTITY)
-        self.rotated = None if matrix is None else any(
-            abs(a - b) > 1e-9 for a, b in zip(matrix, IDENTITY))
 
 
 class _ReplicaParser:
@@ -319,7 +314,7 @@ class _ReplicaParser:
         self.top_level: list[PageObject] = []
         self._unknown: set[str] = set()
         self._tags: dict[str, tuple] = {}
-        self._styles: dict[tuple[str, str], _Style] = {}
+        self._props: dict[tuple[str, str], dict[str, object]] = {}
 
     def _fail(self, message, offset):
         offset = len(self.source[:offset].encode("utf-8"))
@@ -344,7 +339,7 @@ class _ReplicaParser:
                         end = _RAW_TEXT_END[tag].search(source, m.end())
                         if end is None:
                             self._fail(f"unclosed <{tag}> at end of input",
-                                       m.end())
+                                       len(source))
                         pos = end.end()
                         break
                     self._start_tag(tag, *parsed)
@@ -373,9 +368,9 @@ class _ReplicaParser:
 
     # -- class resolution ---------------------------------------------------
 
-    def _resolve(self, key: tuple[str, str]) -> _Style:
-        """The resolved style of a (class, style) pair."""
-        found = self._styles.get(key)
+    def _resolve(self, key: tuple[str, str]) -> dict[str, object]:
+        """The resolved properties of a (class, style) pair."""
+        found = self._props.get(key)
         if found is None:
             classes, style = key
             props: dict[str, object] = {}
@@ -393,16 +388,17 @@ class _ReplicaParser:
                 props.update(rule)
             if style:
                 props.update(_parse_declarations(style))
-            found = self._styles[key] = _Style(props)
+            found = self._props[key] = props
         return found
 
     # -- tree building --------------------------------------------------------
 
     def _start_tag(self, tag, attrs, key, self_closing):
         if tag == "img":
-            style = self._resolve(key)
-            self._attach(PageObject(kind="image", relative_start=style.rel,
-                                    width=style.width, height=style.height))
+            props = self._resolve(key)
+            self._attach(PageObject(
+                kind="image", relative_start=_start(props),
+                width=props.get("width"), height=props.get("height")))
         elif not (self_closing or tag in _VOID_TAGS):
             node = _Node(tag, attrs, key)
             self.stack.append(node)
@@ -429,14 +425,14 @@ class _ReplicaParser:
     def _close_span(self, node: _Node):
         # Inline and transparent: text already flowed into the nearest div.
         # A width-resolving class marks inserted spacing inside a text block.
-        width = self._resolve(node.key).width
+        width = self._resolve(node.key).get("width")
         if self.divs and width is not None:
             self.divs[-1].gaps.append(float(width))
 
     def _close_div(self, node: _Node):
-        style = self._resolve(node.key)
+        props = self._resolve(node.key)
         text = "".join([piece for piece, _, _ in node.pieces])
-        width = style.width
+        width, height = props.get("width"), props.get("height")
         block = None
         if node.children:
             kind = "container"
@@ -449,31 +445,33 @@ class _ReplicaParser:
             for piece, start, end in node.pieces:
                 segments.append(TextSegment(offset, len(piece), start, end))
                 offset += len(piece)
+            rotated = props.get("rotated", False)
             block = TextBlock(
                 text=text.replace("\n", " "),
-                font_size=style.font_size,
-                rotated=bool(style.rotated),
+                font_size=float(props.get("font-size", 0.0)),
+                rotated=bool(rotated),
                 internal_gaps=node.gaps,
                 segments=segments,
             )
             if "\n" in text:
                 self.warnings.append(
                     "line break inside a text block; replaced with a space")
-            if style.width is not None:
+            if "width" in props:
                 self.warnings.append(
                     f"text block {text[:30]!r} carries an explicit width")
-            if style.rotated is None:
+            if rotated is None:
                 self.warnings.append(
                     f"text block {text[:30]!r} has a transform that cannot "
                     f"be read; taken as upright")
-        elif width is not None and style.height is not None:
+        elif width is not None and height is not None:
             kind = "line"
         else:
             kind = "container"
+        top = props.get("top") if "bottom" not in props else None
         self._attach(PageObject(
-            kind=kind, relative_start=style.rel, width=width,
-            height=style.height, top=style.top, children=node.children,
-            block=block, attrs=node.attrs))
+            kind=kind, relative_start=_start(props), width=width,
+            height=height, top=None if top is None else float(top),
+            children=node.children, block=block, attrs=node.attrs))
 
     def _attach(self, obj: PageObject):
         # spans are transparent: children attach to the nearest enclosing div,

@@ -59,6 +59,16 @@ def test_rotation_flag():
 
 
 @pytest.mark.parametrize("transform", [
+    "rotate(180deg)", "scale(-1)", "scaleX(-2)", "matrix(-1,0,0,1,0,0)"])
+def test_transform_that_reverses_the_baseline_rotates(transform):
+    html = page_html('<div class="t x1 y1 hh fs" style="transform: '
+                     f'{transform}">W</div>')
+    doc = parse_replica(html, CSS)
+    assert enumerate_blocks(resolve_absolute(doc))[0].rotated
+    assert not doc.warnings
+
+
+@pytest.mark.parametrize("transform", [
     "rotate(90deg)", "rotate(1.5708rad)", "rotate(100grad)",
     "rotate(.25turn)", "rotate(90DEG)", "ROTATE( -.5E2deg )",
     "rotate(+1e2grad)"])
@@ -75,7 +85,11 @@ def test_rotation_in_every_angle_unit(transform):
 
 @pytest.mark.parametrize("transform, warned", [
     ("rotate(90)", True), ("skewX(10deg)", True), ("matrix(1, 0)", True),
-    ("none", False), ("rotate(0turn)", False)])
+    ("none", False), ("NONE", False), ("rotate(0turn)", False),
+    ("rotate(0)", False), ("translate(3px, 4px)", False),
+    ("translateY(-2px)", False), ("scale(2)", False), ("scaleX(0.5)", False),
+    ("scaleY(-1)", False), ("MATRIX(0.25, 0, 0, 0.25, 0, 0)", False),
+    ("matrix(1,0,0.3,1,0,0)", False)])
 def test_unreadable_transform_warns(transform, warned):
     html = page_html(f'<div class="t x1 y1 hh fs" style="transform: '
                      f'{transform}">W</div>')
@@ -233,6 +247,15 @@ def test_malformed_markup_offset():
     with pytest.raises(ReplicaParseError) as err:
         parse_replica(bad, CSS)
     assert err.value.offset is not None
+
+
+@pytest.mark.parametrize("head", ["<style>.q{left:1px}", "<SCRIPT>a < b",
+                                  "<span>"])
+def test_unclosed_element_fails_at_end_of_input(head):
+    html = head + page_html('<div class="t x1 y1 hh fs">\u00e9</div>')
+    with pytest.raises(ReplicaParseError, match="unclosed") as err:
+        parse_replica(html, CSS)
+    assert err.value.offset == len(html.encode("utf-8"))
 
 
 def test_unknown_class_warns_then_strict_raises():

@@ -21,11 +21,19 @@ CSS = """
 """
 
 
+# the reference's offset for an unclosed raw-text element depends on the
+# Python version (see reference_replica.py)
+_UNCLOSED_RAW_TEXT = re.compile(r"unclosed <(script|style)> at end of input")
+
+
 def _outcome(parse, html, css):
     try:
         return asdict(parse(html, css))
     except FormatError as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "offset", None)
+        message, offset = str(exc), getattr(exc, "offset", None)
+        if _UNCLOSED_RAW_TEXT.match(message):
+            message, offset = message.partition(" (byte offset")[0], None
+        return type(exc).__name__, message, offset
 
 
 def _assert_agree(html, css):
@@ -115,17 +123,25 @@ def _document(draw):
     html = ("".join(head) + '<div id="page-container">'
             + '<div class="pf w0 h0" data-page-no="1">' + newline
             + newline.join(blocks) + "</div></div>" + newline)
-    # a dropped or a stray closing tag must fail at the same byte
+    # a dropped or a stray closing tag must fail at the same byte; no
+    # mutation touches a <title>, whose content Python 3.13's parser reads
+    # as text and earlier ones as markup
+    titles = [range(m.start(), m.end())
+              for m in re.finditer("<title>.*?</title>", html)]
     mutation = draw(st.sampled_from(["none", "none", "drop", "stray"]))
     if mutation == "drop":
         ends = [m.start() for m in re.finditer("</", html)]
-        at = draw(st.sampled_from(ends))
+        at = draw(st.sampled_from(_outside(ends, titles)))
         html = html[:at] + html[html.index(">", at) + 1:]
     elif mutation == "stray":
         ends = [m.end() for m in re.finditer(">", html)]
-        at = draw(st.sampled_from(ends))
+        at = draw(st.sampled_from(_outside(ends, titles)))
         html = html[:at] + "</span>" + html[at:]
     return html
+
+
+def _outside(positions, spans):
+    return [at for at in positions if not any(at in span for span in spans)]
 
 
 @given(_document())
