@@ -2,10 +2,11 @@
 
 Lines are read column by column and joined without hard breaks.  A line
 opens a new paragraph when the gap to the line above exceeds the normal
-spacing tolerance or when it is indented relative to that line; the first
-line of a column or page continues the open paragraph.  End-of-line hyphens
-are deleted at the join (kept only when a supplied word list knows the
-compound).  Paragraphs carry text only: the per-character provenance that
+spacing tolerance or when it is indented relative to that line.  The first
+line of a column or page opens one when it is indented from its column's
+left boundary, and otherwise continues the open paragraph.  End-of-line
+hyphens are deleted at the join (kept only when a supplied word list knows
+the compound).  Paragraphs carry text only: the per-character provenance that
 highlighting needs to find a sentence again in the replica lives in
 ``ExtractionResult.stream`` (see highlight.build_stream).
 
@@ -101,8 +102,9 @@ def assemble(tree: PageLineTree, model, stats: DocumentStats,
     exceeds base_ls + gamma4, or when its leftmost block starts right of
     the previous line's.  Both conditions read "the line above" literally:
     they apply only while the previous kept line sits higher on the same
-    page (so removed material widens the gap), and a column or page jump
-    continues the open paragraph.
+    page (so removed material widens the gap).  After a column or page
+    jump, a line indented from its segment's column_left starts a new
+    paragraph, and a flush one continues the open paragraph.
     """
     body = BodyText()
     lines: list[str] = []
@@ -124,6 +126,8 @@ def assemble(tree: PageLineTree, model, stats: DocumentStats,
                 if (gap > stats.base_ls + thresholds.gamma4
                         or round(line.x) > round(previous.x)):
                     flush()
+            elif previous is not None and round(line.x) > segment.column_left:
+                flush()
             lines.append(line.text)
             previous = line
             previous_page = segment.page.page_number

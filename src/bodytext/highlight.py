@@ -66,7 +66,7 @@ class Stream:
         return CharRef(b, t + k - self.starts[i])
 
 
-@dataclass
+@dataclass(slots=True)
 class HighlightSpan:
     start: CharRef
     end: CharRef
@@ -189,40 +189,33 @@ def _occurrences(stream: Stream, target: str):
 # ---------------------------------------------------------------------------
 
 
-def _block_by_index(doc: ReplicaDocument) -> dict[int, TextBlock]:
-    blocks = {}
-    for _, obj in doc.iter_objects():
-        if obj.kind == "text_block" and obj.block is not None:
-            blocks[obj.block.index] = obj.block
-    return blocks
-
-
-def _span_insertions(doc_blocks, span: HighlightSpan, color: str,
-                     ) -> list[tuple[int, int, str]]:
+def _span_insertions(blocks: list[TextBlock], span: HighlightSpan,
+                     color: str) -> list[tuple[int, int, str]]:
     """(source offset, rank, tag) of each tag the span needs; rank 0, a
     closing tag, goes before rank 1, an opening tag, at one offset.
 
-    Each text segment the span covers gets one wrap; a character reference
-    is covered whole, and a wrap that starts where the previous one ends
-    extends it.
+    Each text run of a block's source map that the span covers gets one
+    wrap; a character reference is covered whole, and a wrap that starts
+    where the previous one ends extends it.
     """
     open_tag = _OPEN_TMPL % color
     out: list[tuple[int, int, str]] = []
     for b in span.blocks:
-        block = doc_blocks.get(b)
-        if block is None:
+        if not 0 <= b < len(blocks):
             raise PipelineError(f"highlight references unknown block {b}")
+        block = blocks[b]
         t_first = span.start.t if b == span.start.b else 0
         t_end = span.end.t + 1 if b == span.end.b else len(block.text)
-        for seg in block.segments:
-            lo = max(t_first, seg.text_offset) - seg.text_offset
-            hi = min(t_end, seg.text_offset + seg.length) - seg.text_offset
+        runs = iter(block.source_map)        # read four ints at a time
+        for offset, length, src_start, src_end in zip(runs, runs, runs, runs):
+            lo = max(t_first, offset) - offset
+            hi = min(t_end, offset + length) - offset
             if lo >= hi:
                 continue
-            if seg.length == seg.src_end - seg.src_start:
-                start, end = seg.src_start + lo, seg.src_start + hi
+            if length == src_end - src_start:
+                start, end = src_start + lo, src_start + hi
             else:
-                start, end = seg.src_start, seg.src_end
+                start, end = src_start, src_end
             if out and out[-1][0] == start:
                 out[-1] = (end, 0, _CLOSE)
             else:
@@ -235,8 +228,9 @@ def inject_colors(doc: ReplicaDocument,
     """Apply all highlight spans to the original markup in one pass.
 
     Spans must not overlap; the output is independent of their order.
-    Refuses a source that already holds highlight wraps, since stripping
-    would remove those too.
+    Their block indices are positions in ``doc.blocks``, as
+    enumerate_blocks numbered them.  Refuses a source that already holds
+    highlight wraps, since stripping would remove those too.
     """
     for _, color in spans:
         if not _COLOR_RE.fullmatch(color):
@@ -248,10 +242,9 @@ def inject_colors(doc: ReplicaDocument,
         if (b.start.b, b.start.t) <= (a.end.b, a.end.t):
             raise PipelineError("overlapping highlight spans")
 
-    doc_blocks = _block_by_index(doc)
     insertions: list[tuple[int, int, str]] = []
     for span, color in ordered:
-        insertions.extend(_span_insertions(doc_blocks, span, color))
+        insertions.extend(_span_insertions(doc.blocks, span, color))
 
     source = doc.source
     pieces: list[str] = []

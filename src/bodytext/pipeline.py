@@ -71,10 +71,9 @@ def extract_from_document(doc: replica.ReplicaDocument,
 
     shallow = removal.shallow_remove(doc, base_fs, thresholds,
                                      abstract_band=band, log=log)
-    # blocks are shared with doc: walk, do not re-enumerate (indices must
-    # keep the original document order for provenance)
-    kept = [obj.block for _, obj in shallow.iter_objects()
-            if obj.kind == "text_block" and obj.block is not None]
+    # walk, do not re-enumerate: highlighting finds each kept block in
+    # doc.blocks by the index enumerate_blocks gave it
+    kept = [obj.block for _, obj in shallow.iter_objects()]
 
     dims = {p.number: (p.width, p.height) for p in doc.pages}
     tree = metrics.group_lines(kept, thresholds.delta1, dims)

@@ -24,6 +24,7 @@ PUNCTUATION = set(".!?:;,)]}\"'”’»…"
 
 _REFERENCE_HEADINGS = {"references", "bibliography"}
 _NUMBERING_RE = re.compile(r"^[\[(]?\d+[\])]?\.?$")
+_ABSTRACT_PARTS = {"abstract"[i:j] for i in range(8) for j in range(i + 1, 9)}
 
 
 @dataclass
@@ -88,12 +89,14 @@ def shallow_remove(doc: ReplicaDocument, base_fs: float,
                    thresholds: Thresholds,
                    abstract_band: tuple[int, float, float] | None = None,
                    log: RemovalLog | None = None) -> ReplicaDocument:
-    """Drop non-textual objects, rotated blocks, and off-size blocks.
+    """Drop non-textual objects, rotated blocks, and off-size blocks of a
+    document that resolve_absolute has resolved.
 
     Keeps blocks with base_fs - delta2 < font size < base_fs + delta2 (open
     interval).  Blocks inside ``abstract_band`` (page, y_top, y_bottom) are
     exempt from the font filter only.  Returns a new document whose pages
-    hold flat lists of the surviving text blocks; the input is unchanged.
+    hold flat lists of the surviving text blocks, each object carrying only
+    its kind and block; the input is unchanged.
     """
     log = log if log is not None else RemovalLog()
     lo, hi = base_fs - thresholds.delta2, base_fs + thresholds.delta2
@@ -101,11 +104,10 @@ def shallow_remove(doc: ReplicaDocument, base_fs: float,
     for page, obj in doc.iter_objects():
         if obj.kind != "text_block" or obj.block is None:
             if obj.kind in ("image", "line"):
+                x, y = obj.absolute_start
                 log.blocks.append(BlockVerdict(
-                    page=page.number,
-                    x=obj.absolute_start[0] if obj.absolute_start else 0.0,
-                    y=obj.absolute_start[1] if obj.absolute_start else 0.0,
-                    preview=f"<{obj.kind}>", reasons={"non_textual"}))
+                    page=page.number, x=x, y=y, preview=f"<{obj.kind}>",
+                    reasons={"non_textual"}))
             continue
         block = obj.block
         reasons = set()
@@ -121,10 +123,7 @@ def shallow_remove(doc: ReplicaDocument, base_fs: float,
                 page=page.number, x=block.x, y=block.y,
                 preview=_preview(block.text), reasons=reasons))
         else:
-            kept[id(page)].append(PageObject(
-                kind="text_block", relative_start=obj.absolute_start,
-                height=obj.height, block=block,
-                absolute_start=obj.absolute_start))
+            kept[id(page)].append(PageObject(kind="text_block", block=block))
     pages = [Page(number=page.number, width=page.width, height=page.height,
                   objects=kept[id(page)]) for page in doc.pages]
     return ReplicaDocument(pages=pages, warnings=doc.warnings,
@@ -136,9 +135,17 @@ def find_abstract_band(blocks: list[TextBlock], delta1: float,
     """Locate the vertical band between an "Abstract" line and the line
     holding "Introduction", so the abstract survives the font filter even
     when set in a smaller face.  Returns (page, y_top, y_bottom), exclusive.
+
+    A page is grouped into lines only when a block of it, lower-cased and
+    without whitespace and ':', is a non-empty part of "abstract": every
+    "Abstract" line has one, so the skip is exact.
     """
     upright = [b for b in blocks if not b.rotated]
-    for page in metrics.iter_page_lines(upright, delta1):
+    pages = {b.page_number for b in upright
+             if "".join(b.text.lower().split()).replace(":", "")
+             in _ABSTRACT_PARTS}
+    candidates = [b for b in upright if b.page_number in pages]
+    for page in metrics.iter_page_lines(candidates, delta1):
         for i, line in enumerate(page.lines):
             text = line.text.strip().rstrip(":").strip().lower()
             if text != "abstract":
@@ -164,12 +171,17 @@ def remove_sidings(tree: PageLineTree, model,
 
     Boundary-inclusive keep: a block exactly on the margin bound stays.
     Covers line-number gutters, including the paired-number variant whose
-    single block starts in the left margin.
+    single block starts in the left margin.  A page left with no printing
+    area (a margin of half its width or more) gets a warning.
     """
     log = log if log is not None else RemovalLog()
     reasons: dict[int, str] = {}
     for page in tree.pages:
         lo, hi = bt_area(model.for_page(page.page_number), int(page.width))
+        if lo >= hi:
+            log.warnings.append(
+                f"page {page.page_number} has no printing area: a margin of "
+                f"{lo} px on a page {int(page.width)} px wide")
         for i, line in enumerate(page.lines):
             kept = []
             for block in line.blocks:

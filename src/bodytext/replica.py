@@ -5,8 +5,9 @@ id="page-container">`` holding one ``div`` per page; pages hold object divs
 whose geometry is encoded through CSS classes.  This module resolves every
 class reference against the style sheets, builds the page/object tree,
 converts coordinates to the internal convention (origin at the lower-left
-page corner, y increasing upward), and keeps enough source bookkeeping to
-splice styling tags back into the original markup byte-exactly.
+page corner, y increasing upward), and gives each text block a flat source
+map (see TextBlock), enough to splice styling tags back into the original
+markup byte-exactly.
 
 Geometry conventions understood by the ingester:
 
@@ -26,7 +27,8 @@ Geometry conventions understood by the ingester:
   angle unit.
 
 The markup is read in one pass of one compiled token pattern, so source
-offsets are match positions; ``script`` and ``style`` content is skipped.
+offsets are match positions; ``script``, ``style`` and ``title`` content
+is raw text, skipped up to its closing tag.
 A ``<`` ends a tag's name and unquoted attributes, and an unterminated
 comment runs to the end of the input, which keeps the scan linear.  Each
 distinct start tag and (class, style) pair is read once.  A character
@@ -55,28 +57,15 @@ _NUMERIC_PROPS = ("left", "bottom", "top", "width", "height", "font-size")
 _VOID_TAGS = {"img", "br", "hr", "meta", "link", "input", "base", "source"}
 
 
-@dataclass
-class TextSegment:
-    """Maps a run of a block's text onto the source markup.
-
-    ``length`` decoded characters starting at ``text_offset`` occupy the
-    source range [src_start, src_end).  Plain data runs map 1:1; a decoded
-    character reference maps its text onto the whole reference.
-    """
-
-    text_offset: int
-    length: int
-    src_start: int
-    src_end: int
-
-
-@dataclass
+@dataclass(slots=True)
 class TextBlock:
     """A positioned run of text; the atomic unit of all later analysis.
 
     ``x``, ``y`` (the absolute starting point) and ``page_number`` are set
     by resolve_absolute.  ``internal_gaps`` holds the width of each inserted
-    spacing inside the block.
+    spacing inside the block.  ``source_map`` holds (text offset, length,
+    source start, source end) of each text run, flat: a plain run maps
+    1:1, a decoded character reference maps its text onto all of it.
     """
 
     text: str
@@ -85,12 +74,12 @@ class TextBlock:
     internal_gaps: list[float] = field(default_factory=list)
     x: float = 0.0
     y: float = 0.0
-    index: int = -1                      # document-order index (CharRef.b)
+    index: int = -1                      # position in ReplicaDocument.blocks
     page_number: int = 0
-    segments: list[TextSegment] = field(default_factory=list)
+    source_map: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharRef:
     """Source of one end of a located span: block index ``b``, offset ``t``
     within it."""
@@ -99,7 +88,7 @@ class CharRef:
     t: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PageObject:
     kind: str                            # text_block | image | line | container
     relative_start: tuple[float, float] = (0.0, 0.0)
@@ -112,7 +101,7 @@ class PageObject:
     attrs: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Page:
     number: int
     width: float
@@ -120,11 +109,12 @@ class Page:
     objects: list[PageObject] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReplicaDocument:
     pages: list[Page]
     warnings: list[str] = field(default_factory=list)
     source: str = ""
+    blocks: list[TextBlock] = field(default_factory=list)  # enumerate_blocks
 
     def iter_objects(self):
         """Pre-order walk of all objects, page by page."""
@@ -243,7 +233,7 @@ _ATTR_RE = re.compile(r"""((?<=['"\s/])[^\s/>][^\s/=>]*)"""
                       r"""(?:\s|/(?!>))*""")
 # elements whose content is raw text, skipped up to the closing tag
 _RAW_TEXT_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
-                 for tag in ("script", "style")}
+                 for tag in ("script", "style", "title")}
 
 
 def _read_attrs(rest: str):
@@ -354,8 +344,6 @@ class _ReplicaParser:
                     text = _ENTITIES.get(m[6] + ";") or m[0]
                 else:                            # comment, doctype, PI
                     continue
-                if stack and stack[-1].tag == "title":
-                    continue
                 if divs:
                     divs[-1].pieces.append((text, m.start(), m.end()))
                 elif text.strip():
@@ -441,9 +429,9 @@ class _ReplicaParser:
                     f"stray text {text.strip()[:30]!r} inside a container div")
         elif text:
             kind, width = "text_block", None
-            segments, offset = [], 0
+            source_map, offset = [], 0
             for piece, start, end in node.pieces:
-                segments.append(TextSegment(offset, len(piece), start, end))
+                source_map += (offset, len(piece), start, end)
                 offset += len(piece)
             rotated = props.get("rotated", False)
             block = TextBlock(
@@ -451,7 +439,7 @@ class _ReplicaParser:
                 font_size=float(props.get("font-size", 0.0)),
                 rotated=bool(rotated),
                 internal_gaps=node.gaps,
-                segments=segments,
+                source_map=tuple(source_map),
             )
             if "\n" in text:
                 self.warnings.append(
@@ -639,13 +627,14 @@ def resolve_absolute(doc: ReplicaDocument) -> ReplicaDocument:
 
 
 def enumerate_blocks(doc: ReplicaDocument) -> list[TextBlock]:
-    """Text blocks in document order: page order, pre-order within a page.
+    """Number the text blocks in document order (page order, pre-order
+    within a page), keep them as ``doc.blocks`` and return that list.
 
-    This order defines the block index ``b`` used by CharRef.
+    This is the one place that numbers blocks: a block's ``index`` (the
+    ``b`` of a CharRef) is its position in ``doc.blocks``.
     """
-    blocks = []
-    for _, obj in doc.iter_objects():
-        if obj.kind == "text_block" and obj.block is not None:
-            obj.block.index = len(blocks)
-            blocks.append(obj.block)
-    return blocks
+    doc.blocks = [obj.block for _, obj in doc.iter_objects()
+                  if obj.kind == "text_block" and obj.block is not None]
+    for i, block in enumerate(doc.blocks):
+        block.index = i
+    return doc.blocks

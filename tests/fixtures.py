@@ -482,11 +482,130 @@ def deep_indent_math() -> Fixture:
     return b.build("deep_indent_math")
 
 
+def column_top_indent() -> Fixture:
+    """A paragraph ends at the bottom of the left column and an indented
+    one opens the right column."""
+    b = ReplicaBuilder()
+    p = b.page()
+    left = p.column(C1)
+    left.paragraph([
+        "Paragraph breaks that fall exactly at a column boundary are",
+        "common in typeset proceedings, because the column bottom is",
+        "indifferent to where the author chose to end a paragraph.",
+    ], indent=0)
+    left.heading("1 Breaks at Boundaries")
+    left.paragraph([
+        "An indented first line is the only geometric evidence that",
+        "a paragraph opens, and it stays visible whichever column the",
+        "line happens to land in on the printed page.",
+    ])
+    left.paragraph([
+        "This paragraph closes the left column with its last sentence",
+        "ending on the bottom line, so nothing spills over into the",
+        "next column and the break coincides with the column end.",
+    ], indent=0)
+    right = p.column(C2)
+    right.paragraph([
+        "The right column therefore opens a fresh paragraph, and its",
+        "indented first line tells the reader so even though the line",
+        "above it in reading order sits at the foot of another column.",
+    ])
+    right.paragraph([
+        "Another flush paragraph follows so that the second column",
+        "keeps most of its lines against the boundary, which the",
+        "detector needs when it aggregates the starting points.",
+    ], indent=0)
+    right.paragraph([
+        "A last paragraph of ordinary prose finishes the page with",
+        "several complete sentences. It ends with a period.",
+    ], indent=0)
+    p.page_number("1")
+    return b.build("column_top_indent")
+
+
+def page_top_indent() -> Fixture:
+    """A paragraph ends at the bottom of page 1 and an indented one opens
+    page 2."""
+    b = ReplicaBuilder()
+    p = b.page()
+    col = p.column(C1)
+    col.paragraph([
+        "Page boundaries behave like column boundaries for the joiner,",
+        "since the last line of one page and the first line of the",
+        "next are neighbors in reading order but not on the paper.",
+    ], indent=0)
+    col.heading("1 Pages")
+    col.paragraph([
+        "A paragraph that ends on the last line of a page leaves the",
+        "next page to open a new one, which it marks by indenting its",
+        "first line exactly as any other paragraph would.",
+    ])
+    col.paragraph([
+        "This paragraph runs down to the bottom of the first page and",
+        "finishes its final sentence there, so the page break and the",
+        "paragraph break fall in the same place.",
+    ], indent=0)
+    p.page_number("1")
+
+    p2 = b.page()
+    col = p2.column(C1)
+    col.paragraph([
+        "The second page begins with an indented line, and that indent",
+        "alone separates this paragraph from the one that closed the",
+        "previous page of the document.",
+    ])
+    col.paragraph([
+        "A flush paragraph follows to keep the statistics anchored to",
+        "the body values and most lines against the column boundary,",
+        "as the layout detection assumes.",
+    ], indent=0)
+    p2.page_number("2")
+    return b.build("page_top_indent")
+
+
+def heading_column_top() -> Fixture:
+    """A heading opens the right column, and an indented paragraph
+    follows it."""
+    b = ReplicaBuilder()
+    p = b.page()
+    left = p.column(C1)
+    left.paragraph([
+        "Section headings sometimes land at the very top of a column,",
+        "where the heading is removed as a short unpunctuated line and",
+        "the paragraph below it must still open on its own.",
+    ], indent=0)
+    left.paragraph([
+        "Several flush lines keep the first column anchored to its",
+        "left boundary, so that the sweep reports it as a major column",
+        "with the share of flush lines the detection expects.",
+    ])
+    left.paragraph([
+        "The left column ends with this paragraph, whose closing",
+        "sentence finishes on the last line of the column and leaves",
+        "nothing to continue at the top of the next one.",
+    ], indent=0)
+    right = p.column(C2)
+    right.heading("2 Method", gap_before=None)
+    right.paragraph([
+        "Below the heading an indented paragraph begins, and it must",
+        "not be merged into the paragraph that ended at the foot of",
+        "the left column just before it in reading order.",
+    ])
+    right.paragraph([
+        "A flush paragraph fills out the right column with enough",
+        "lines to present the expected profile to the detector,",
+        "and every one of its sentences ends with a period.",
+    ], indent=0)
+    p.page_number("1")
+    return b.build("heading_column_top")
+
+
 def build_all() -> dict[str, FixtureCase]:
     cases = {}
     for factory in (single_column, two_column, abstract_insert, table_doc,
                     figure_doc, display_math_end, gutter_doc, watermark_doc,
-                    references_doc, hyphenation_doc, deep_indent_math):
+                    references_doc, hyphenation_doc, deep_indent_math,
+                    column_top_indent, page_top_indent, heading_column_top):
         fx = factory()
         cases[fx.name] = FixtureCase(fixture=fx)
     mid = display_math_midpara()

@@ -5,16 +5,18 @@ against (``test_replica_oracle.py``).
 It resolves every element on its own, with no memo, and takes source
 offsets from ``getpos``.  It shares only the style-sheet and transform
 reading and the page checks with the package, so it keeps checking the
-tokenizer when the style-sheet reading changes.  It behaves as the
-standard library's parser does, which differs between Python versions on
-markup the converter does not write (``<title>`` content, bogus comments,
-text after an unterminated construct).  One such difference reaches the
-comparison: for a ``<script>`` or ``<style>`` left unclosed, Python 3.13
+tokenizer when the style-sheet reading changes.  It reads ``script``,
+``style`` and ``title`` content as raw text, as the package does, and
+otherwise behaves as the standard library's parser does, which differs
+between Python versions on markup the converter does not write (bogus
+comments, text after an unterminated construct).  One such difference
+reaches the comparison: for a raw-text element left unclosed, Python 3.13
 reports the end of the input and earlier versions the end of the start
 tag, so the offset of that error is not compared (the package reports
-the end of the input, as for every other element left open).  The two parsers also differ on
-such markup: the package ends a tag at a ``<`` and lets an unterminated
-comment run to the end of the input, which keeps its scan linear.
+the end of the input, as for every other element left open).  The two
+parsers also differ on such markup: the package ends a tag at a ``<``
+and lets an unterminated comment run to the end of the input, which
+keeps its scan linear.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from html.parser import HTMLParser
 from bodytext.errors import ReplicaFormatError, ReplicaParseError
 from bodytext.replica import (_STYLE_BLOCK_RE, _VOID_TAGS, HL_CLASS,
                               PageObject, ReplicaDocument, TextBlock,
-                              TextSegment, _build_document,
-                              _parse_declarations, parse_stylesheets)
+                              _build_document, _parse_declarations,
+                              parse_stylesheets)
 
 
 def reference_parse_replica(html, css=(), *, strict: bool = False,
@@ -52,7 +54,7 @@ class _Node:
     """Builder-side element state while its tag is open."""
 
     __slots__ = ("tag", "attrs", "classes", "inline_style", "children",
-                 "text", "text_len", "segments", "gaps")
+                 "text", "text_len", "source_map", "gaps")
 
     def __init__(self, tag, attrs):
         self.tag = tag
@@ -63,11 +65,14 @@ class _Node:
         self.children: list[PageObject] = []
         self.text: list[str] = []
         self.text_len = 0                # total length of the text pieces
-        self.segments: list[TextSegment] = []
+        self.source_map: list[int] = []
         self.gaps: list[float] = []
 
 
 class ReferenceParser(HTMLParser):
+    # ``title`` content is raw text, as in the package
+    CDATA_CONTENT_ELEMENTS = ("script", "style", "title")
+
     def __init__(self, source, classmap, strict):
         super().__init__(convert_charrefs=False)
         self.source = source
@@ -175,7 +180,7 @@ class ReferenceParser(HTMLParser):
                 font_size=float(props.get("font-size", 0.0)),
                 rotated=bool(rotated),
                 internal_gaps=node.gaps,
-                segments=node.segments,
+                source_map=tuple(node.source_map),
             )
             if "\n" in text:
                 self.warnings.append(
@@ -218,7 +223,7 @@ class ReferenceParser(HTMLParser):
     # -- character data -------------------------------------------------------
 
     def _append_text(self, decoded: str, src_start: int, src_end: int):
-        if self.stack and self.stack[-1].tag in ("style", "script", "title"):
+        if self.stack and self.stack[-1].tag in self.CDATA_CONTENT_ELEMENTS:
             return
         host = self._nearest_div()
         if host is None:
@@ -226,8 +231,7 @@ class ReferenceParser(HTMLParser):
                 self.warnings.append(
                     f"text outside any element ignored: {decoded.strip()[:30]!r}")
             return
-        host.segments.append(TextSegment(host.text_len, len(decoded),
-                                         src_start, src_end))
+        host.source_map += (host.text_len, len(decoded), src_start, src_end)
         host.text.append(decoded)
         host.text_len += len(decoded)
 

@@ -262,6 +262,19 @@ def test_inject_overlap_rejected():
         inject_colors(doc, [(a, "#f00"), (b, "#0f0")])
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_inject_rejects_a_block_outside_the_block_list(index):
+    # -1 would otherwise name the last block, and 2 is len(doc.blocks)
+    doc, t = make_doc([[("xa", "alpha beta")], [("xa", "gamma delta")]])
+    assert len(doc.blocks) == 2
+    stream = build_stream(t, single_column_model())
+    span = locate_sentence(stream, "beta")
+    span.blocks = (index,)
+    with pytest.raises(PipelineError,
+                       match=f"highlight references unknown block {index}"):
+        inject_colors(doc, [(span, "#f00")])
+
+
 def test_visible_text_unchanged():
     doc, t = make_doc([[("xa", "alpha beta "), ("xb", "gamma.")]])
     stream = build_stream(t, single_column_model())

@@ -1,8 +1,12 @@
 """Shallow and deep nonbody-text removal."""
 
 import random
+from unittest import mock
 
-from bodytext.columns import detect_columns, sweep
+from hypothesis import given, settings, strategies as st
+
+from bodytext import removal
+from bodytext.columns import ColumnModel, detect_columns, sweep
 from bodytext.metrics import (DocumentStats, Line, PageLines, PageLineTree,
                               Thresholds)
 from bodytext.removal import (LineContext, RemovalLog, backward_removal,
@@ -86,6 +90,67 @@ def test_abstract_band_absent():
     assert find_abstract_band(enumerate_blocks(doc), T.delta1) is None
 
 
+_HEADINGS = ["Abstract", "ABSTRACT:", "abstract :", " Abstract ", "Abs tract",
+             "Abstracts", "Abstract.", "Abstract: :", "An abstract", "Ab"]
+
+
+@st.composite
+def _heading_line(draw, y, page):
+    """Blocks of one line whose joined text is a heading or a near miss,
+    cut at random and mixed with ':' and whitespace-only blocks."""
+    text = draw(st.sampled_from(_HEADINGS))
+    cuts = sorted(draw(st.sets(st.integers(1, len(text) - 1), max_size=4)))
+    parts = [text[i:j] for i, j in zip([0] + cuts, cuts + [len(text)])]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(parts)))
+        parts.insert(at, draw(st.sampled_from([":", " ", "\t", " : "])))
+    return [block(part, x=100.0 + 20 * i, y=y, page=page)
+            for i, part in enumerate(parts)]
+
+
+@st.composite
+def _abstract_pages(draw):
+    blocks = []
+    for page in range(1, draw(st.integers(1, 3)) + 1):
+        y = 700.0
+        for kind in draw(st.lists(st.sampled_from(
+                ["body", "heading", "intro", "rotated"]), max_size=6)):
+            if kind == "heading":
+                blocks += draw(_heading_line(y, page))
+            else:
+                text = {"body": "Body text of the page.", "intro":
+                        "1 Introduction", "rotated": "Abstract"}[kind]
+                blocks.append(block(text, y=y, page=page,
+                                    rotated=kind == "rotated"))
+            y -= draw(st.sampled_from([3.0, 14.0, 30.0]))
+    for i, b in enumerate(blocks):
+        b.index = i
+    return blocks
+
+
+class _Everything:
+    def __contains__(self, key):
+        return True
+
+
+@given(_abstract_pages())
+@settings(max_examples=300, deadline=None)
+def test_abstract_page_skip_is_exact(blocks):
+    # the band equals the one found when every page is grouped into lines
+    with mock.patch.object(removal, "_ABSTRACT_PARTS", _Everything()):
+        unfiltered = find_abstract_band(blocks, T.delta1)
+    assert find_abstract_band(blocks, T.delta1) == unfiltered
+
+
+def test_abstract_heading_cut_into_blocks():
+    blocks = [block(" ", x=260, y=700), block("Abs", x=280, y=700),
+              block("tract", x=300, y=700), block(" ", x=330, y=700),
+              block(":", x=340, y=700), block("1 Introduction", x=72, y=650)]
+    assert find_abstract_band(blocks, T.delta1) == (1, 700, 650)
+    blocks[3].text = "x"
+    assert find_abstract_band(blocks, T.delta1) is None
+
+
 # -- sidings --------------------------------------------------------------------
 
 def test_sidings_boundaries():
@@ -99,6 +164,23 @@ def test_sidings_boundaries():
     remove_sidings(t, single_column_model(), RemovalLog())
     texts = [ln.text for ln in t.pages[0].lines]
     assert texts == ["kept edge", "right edge"]
+
+
+def test_sidings_warn_on_a_page_without_printing_area():
+    # a margin of half the page width or more removes every block
+    rows = [line("body text", y=700 - 14 * i, x=310) for i in range(3)]
+    for ln in rows:
+        ln.column_id = 0
+    t = tree(rows)
+    log = RemovalLog()
+    remove_sidings(t, ColumnModel(column_lefts=[306], k=1, margin_width=306),
+                   log)
+    assert log.warnings == ["page 1 has no printing area: a margin of 306 px "
+                            "on a page 612 px wide"]
+    assert t.pages[0].lines == []
+    log = RemovalLog()
+    remove_sidings(tree(rows), single_column_model(), log)
+    assert log.warnings == []
 
 
 def test_sidings_use_each_page_width():

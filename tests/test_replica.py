@@ -250,12 +250,23 @@ def test_malformed_markup_offset():
 
 
 @pytest.mark.parametrize("head", ["<style>.q{left:1px}", "<SCRIPT>a < b",
-                                  "<span>"])
+                                  "<title>A </span>", "<span>"])
 def test_unclosed_element_fails_at_end_of_input(head):
     html = head + page_html('<div class="t x1 y1 hh fs">\u00e9</div>')
     with pytest.raises(ReplicaParseError, match="unclosed") as err:
         parse_replica(html, CSS)
     assert err.value.offset == len(html.encode("utf-8"))
+
+
+@pytest.mark.parametrize("title", ["</span>x", "a <div>b</div> &amp; c",
+                                   "<div class='t x1 y1 hh fs'>no</div>"])
+def test_title_content_is_raw_text(title):
+    html = (f"<html><head><title>{title}</TITLE ></head><body>"
+            + page_html('<div class="t x1 y1 hh fs">body</div>')
+            + "</body></html>")
+    doc = resolve_absolute(parse_replica(html, CSS))
+    assert [b.text for b in enumerate_blocks(doc)] == ["body"]
+    assert doc.warnings == []
 
 
 def test_unknown_class_warns_then_strict_raises():
