@@ -10,6 +10,7 @@ follow from the first one or two peaks.
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -137,11 +138,15 @@ def assign_columns(tree: PageLineTree, model, thresholds: Thresholds) -> None:
     """Split each visual row by column, tag spanning inserts, and leave each
     page's lines in reading order.
 
-    Rows are reshaped in place into per-column lines carrying column_id.
-    With exactly two major columns, a row with a block starting beyond the
-    second column's left boundary but none aligned to it belongs to a
-    one-column insert spanning the printing area (SPAN_COLUMN); such rows
-    stay whole.  Rows adjacent to a spanning run that align with no column
+    Rows are the lines of group_lines, each at the highest y of its blocks.
+    A row is reshaped in place into per-column lines carrying column_id: a
+    block belongs to the rightmost column whose left boundary its rounded x
+    reaches (found by bisection over the sorted lefts), and a row whose
+    blocks all fall in one column stays that column's line.  With exactly
+    two major columns, a row with a block starting beyond the second
+    column's left boundary but none aligned to it belongs to a one-column
+    insert spanning the printing area (SPAN_COLUMN); such rows stay whole.
+    Rows linked to a spanning run by rows that align with no column
     boundary (a short closing line of the insert) are absorbed into the
     region, keeping it vertically contiguous.  With one major column this
     is a no-op beyond tagging.
@@ -173,65 +178,64 @@ def assign_columns(tree: PageLineTree, model, thresholds: Thresholds) -> None:
 
 def _spanning_rows(rows: list[Line], lefts: list[int],
                    thresholds: Thresholds) -> list[bool]:
-    """Per-row spanning classification with region smoothing.
+    """Per-row spanning classification with region smoothing, for a page
+    of two major columns; rows run top-down.
 
     A candidate row reaches beyond the second column boundary with nothing
     aligned to it.  A lone candidate is an ordinary two-column row whose
     right part is an indented paragraph opening, not an insert: true
     inserts (title blocks, abstracts) occupy at least two consecutive rows.
-    Rows adjacent to a surviving run that align with no column boundary
-    (a short closing line of the insert) are absorbed to keep the region
-    vertically contiguous.
+    A row that aligns with no column boundary (a short closing line of the
+    insert) joins the region when a chain of such rows links it to a
+    surviving run, keeping the region vertically contiguous: one downward
+    and one upward sweep reach every such row.  Each row's x values are
+    read once.
     """
     d1 = thresholds.delta1
-    c2 = lefts[1]
-    spanning = []
+    c1, c2 = lefts
+    spanning, aligned = [], []
     for row in rows:
-        beyond = any(b.x > c2 + d1 for b in row.blocks)
-        at_c2 = any(abs(b.x - c2) <= d1 for b in row.blocks)
+        beyond = at_c1 = at_c2 = False
+        for b in row.blocks:
+            x = b.x
+            beyond = beyond or x > c2 + d1
+            at_c1 = at_c1 or abs(x - c1) <= d1
+            at_c2 = at_c2 or abs(x - c2) <= d1
         spanning.append(beyond and not at_c2)
+        aligned.append(at_c1 or at_c2)
 
+    last = len(rows) - 1
     for i in range(len(rows)):
         if (spanning[i] and (i == 0 or not spanning[i - 1])
-                and (i + 1 == len(rows) or not spanning[i + 1])):
+                and (i == last or not spanning[i + 1])):
             spanning[i] = False
 
-    aligned = [_is_aligned(row, lefts, thresholds) for row in rows]
-    changed = any(spanning)
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            if spanning[i] or aligned[i]:
-                continue
-            if ((i > 0 and spanning[i - 1])
-                    or (i + 1 < len(rows) and spanning[i + 1])):
-                spanning[i] = True
-                changed = True
+    for i in range(1, len(rows)):
+        if spanning[i - 1] and not aligned[i]:
+            spanning[i] = True
+    for i in range(last - 1, -1, -1):
+        if spanning[i + 1] and not aligned[i]:
+            spanning[i] = True
     return spanning
 
 
-def _is_aligned(row: Line, lefts: list[int], thresholds: Thresholds) -> bool:
-    return any(abs(b.x - left) <= thresholds.delta1
-               for b in row.blocks for left in lefts)
-
-
 def _split_row(row: Line, lefts: list[int]) -> list[Line]:
+    """The row's parts by column, leftmost first; the row itself, tagged,
+    when all its blocks fall in one column."""
     buckets: dict[int, list] = {}
     for block in row.blocks:
-        cid = 0
-        # the sweep found each left at a rounded x, so test the same
-        for i, left in enumerate(lefts):
-            if round(block.x) >= left:
-                cid = i
-        buckets.setdefault(cid, []).append(block)
-    lines = []
-    for cid in sorted(buckets):
-        # per-column representative y: blocks from different columns may sit
-        # a few pixels apart within one visual row, and column-local gap
-        # measurements must not inherit the other column's jitter
-        y = max(b.y for b in buckets[cid])
-        lines.append(Line(blocks=buckets[cid], y=y, column_id=cid))
-    return lines
+        # the sweep found each left at a rounded x, so test the same; a
+        # block left of every boundary belongs to the first column
+        cid = bisect_right(lefts, round(block.x)) - 1
+        buckets.setdefault(cid if cid > 0 else 0, []).append(block)
+    if len(buckets) == 1:
+        (row.column_id,) = buckets
+        return [row]
+    # per-column representative y: blocks from different columns may sit
+    # a few pixels apart within one visual row, and column-local gap
+    # measurements must not inherit the other column's jitter
+    return [Line(blocks=buckets[cid], y=max(b.y for b in buckets[cid]),
+                 column_id=cid) for cid in sorted(buckets)]
 
 
 @dataclass

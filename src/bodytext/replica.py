@@ -28,7 +28,11 @@ Geometry conventions understood by the ingester:
 
 The markup is read in one pass of one compiled token pattern, so source
 offsets are match positions; ``script``, ``style`` and ``title`` content
-is raw text, skipped up to its closing tag.
+is raw text, skipped up to its closing tag.  A leaf text div (a div that
+is not self-closing and holds one run of plain text: no tag, no
+reference) is one token, together with the whitespace before it, and
+becomes its text block directly; every other div is built from its
+start tag, content and end tag.
 A ``<`` ends a tag's name and unquoted attributes, and an unterminated
 comment runs to the end of the input, which keeps the scan linear.  Each
 distinct start tag and (class, style) pair is read once.  A character
@@ -205,9 +209,6 @@ def parse_stylesheets(sheets) -> dict[str, dict[str, object]]:
     return classmap
 
 
-_STYLE_BLOCK_RE = re.compile(r"<style[^>]*>(.*?)</style>", re.S | re.I)
-
-
 # ---------------------------------------------------------------------------
 # HTML parsing
 # ---------------------------------------------------------------------------
@@ -216,15 +217,22 @@ _STYLE_BLOCK_RE = re.compile(r"<style[^>]*>(.*?)</style>", re.S | re.I)
 # kind, and a comment, doctype or processing instruction has none.  Each
 # alternative reads a stretch of input one way only, and a tag stops at a
 # '<' outside quotes, so a failed match costs the text it read up to there.
+# The first reads a whole leaf text div, with the whitespace before it: a
+# div start tag that is not self-closing (a self-closing one ends in '/'),
+# one run of plain text and the div's closing tag.
 _TOKEN_RE = re.compile(r"""
-    ([^<&]+)                                            # 1 text
-  | <([a-zA-Z][^\t\n\r\f\ />\x00<]*)                    # 2 start tag name,
-    ([^<>"']*(?:(?:"[^"]*"|'[^']*')[^<>"']*)*)>         # 3 and the rest
-  | </\s*([a-zA-Z][^\t\n\r\f\ />\x00<]*)[^<>]*>         # 4 end tag name
+    (\s*)<[dD][iI][vV](?![^\t\n\r\f\ />\x00<])          # 1 space before a leaf,
+    ([^<>"']*(?:(?:"[^"]*"|'[^']*')[^<>"']*)*)(?<!/)>   # 2 the rest of its tag
+    ([^<&]+)                                            # 3 and its text
+    </\s*[dD][iI][vV](?![^\t\n\r\f\ />\x00<])[^<>]*>
+  | ([^<&]+)                                            # 4 text
+  | <([a-zA-Z][^\t\n\r\f\ />\x00<]*)                    # 5 start tag name,
+    ([^<>"']*(?:(?:"[^"]*"|'[^']*')[^<>"']*)*)>         # 6 and the rest
+  | </\s*([a-zA-Z][^\t\n\r\f\ />\x00<]*)[^<>]*>         # 7 end tag name
   | <!--.*?(?:--\s*>|\Z) | <[!?/][^<>]*>
-  | &\#([0-9]+|[xX][0-9a-fA-F]+)(?=[^0-9a-fA-F]);?      # 5 numeric reference
-  | &([a-zA-Z][-.a-zA-Z0-9]*)(?=[^a-zA-Z0-9]);?         # 6 named reference
-  | (&\#?|<)                                            # 7 stray '&' or '<'
+  | &\#([0-9]+|[xX][0-9a-fA-F]+)(?=[^0-9a-fA-F]);?      # 8 numeric reference
+  | &([a-zA-Z][-.a-zA-Z0-9]*)(?=[^a-zA-Z0-9]);?         # 9 named reference
+  | (&\#?|<)                                            # 10 stray '&' or '<'
 """, re.X | re.S)
 # attributes as the standard library's tolerant HTML parser reads them
 _ATTR_GAP_RE = re.compile(r"(?:\s|/(?!>))*")
@@ -234,6 +242,12 @@ _ATTR_RE = re.compile(r"""((?<=['"\s/])[^\s/>][^\s/=>]*)"""
 # elements whose content is raw text, skipped up to the closing tag
 _RAW_TEXT_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
                  for tag in ("script", "style", "title")}
+# the content of each style element, read apart from the token pass: a
+# start tag whose name ends there and that is not self-closing, up to the
+# closing tag that ends its raw text
+_STYLE_BLOCK_RE = re.compile(
+    r"<style(?=[\t\n\r\f />\x00])[^>]*(?<!/)>(.*?)"
+    + _RAW_TEXT_END["style"].pattern, re.S | re.I)
 
 
 def _read_attrs(rest: str):
@@ -271,6 +285,22 @@ def _start(props) -> tuple[float, float]:
     return float(props.get("left", 0.0)), float(props.get("bottom", 0.0))
 
 
+def _top(props) -> float | None:
+    """The top-origin y of resolved properties, read only without a
+    ``bottom``."""
+    top = props.get("top") if "bottom" not in props else None
+    return None if top is None else float(top)
+
+
+class _StartTags(dict):
+    """The ``_read_attrs`` of each distinct start-tag text, read once, so
+    equal texts share one attribute dict."""
+
+    def __missing__(self, rest):
+        parsed = self[rest] = _read_attrs(rest)
+        return parsed
+
+
 class _Node:
     """Builder-side element state while its tag is open; ``pieces`` holds
     the (decoded text, source start, source end) of each text run."""
@@ -303,7 +333,7 @@ class _ReplicaParser:
         self.divs: list[_Node] = []     # the open divs, innermost last
         self.top_level: list[PageObject] = []
         self._unknown: set[str] = set()
-        self._tags: dict[str, tuple] = {}
+        self._tags = _StartTags()
         self._props: dict[tuple[str, str], dict[str, object]] = {}
 
     def _fail(self, message, offset):
@@ -318,13 +348,14 @@ class _ReplicaParser:
             tokens, pos = _TOKEN_RE.finditer(source, pos), None
             for m in tokens:
                 kind = m.lastindex
-                if kind == 1 or kind == 7:
+                if kind == 3:
+                    self._leaf(m)
+                    continue
+                if kind == 4 or kind == 10:
                     text = m[kind]
-                elif kind == 3:
-                    parsed = tags.get(m[3])
-                    if parsed is None:
-                        parsed = tags[m[3]] = _read_attrs(m[3])
-                    tag = m[2].lower()
+                elif kind == 6:
+                    parsed = tags[m[6]]
+                    tag = m[5].lower()
                     if tag in _RAW_TEXT_END and not parsed[2]:
                         end = _RAW_TEXT_END[tag].search(source, m.end())
                         if end is None:
@@ -334,14 +365,14 @@ class _ReplicaParser:
                         break
                     self._start_tag(tag, *parsed)
                     continue
-                elif kind == 4:
-                    self._end_tag(m[4].lower(), m.start())
+                elif kind == 7:
+                    self._end_tag(m[7].lower(), m.start())
                     continue
-                elif kind == 5:
+                elif kind == 8:
                     # a reference that cannot be decoded stays literal
-                    text = _char(m[5]) or m[0]
-                elif kind == 6:
-                    text = _ENTITIES.get(m[6] + ";") or m[0]
+                    text = _char(m[8]) or m[0]
+                elif kind == 9:
+                    text = _ENTITIES.get(m[9] + ";") or m[0]
                 else:                            # comment, doctype, PI
                     continue
                 if divs:
@@ -417,49 +448,72 @@ class _ReplicaParser:
         if self.divs and width is not None:
             self.divs[-1].gaps.append(float(width))
 
+    def _leaf(self, m):
+        """A leaf text div, read whole by the first alternative of
+        _TOKEN_RE: one text block with one text run."""
+        attrs, key, _ = self._tags[m[2]]
+        divs = self.divs
+        # the space before the leaf belongs to the enclosing div, whose
+        # text only its stray-text check reads, stripped: a space that
+        # would lead that text is left out
+        if divs and divs[-1].pieces and m.end(1) > m.start():
+            divs[-1].pieces.append((m[1], m.start(), m.end(1)))
+        text = m[3]
+        self._attach(self._text_object(
+            self._resolve(key), attrs, text,
+            (0, len(text), m.start(3), m.end(3)), []))
+
     def _close_div(self, node: _Node):
         props = self._resolve(node.key)
         text = "".join([piece for piece, _, _ in node.pieces])
+        if text and not node.children:
+            source_map, offset = [], 0
+            for piece, start, end in node.pieces:
+                source_map += (offset, len(piece), start, end)
+                offset += len(piece)
+            self._attach(self._text_object(props, node.attrs, text,
+                                           tuple(source_map), node.gaps))
+            return
         width, height = props.get("width"), props.get("height")
-        block = None
         if node.children:
             kind = "container"
             if text.strip():
                 self.warnings.append(
                     f"stray text {text.strip()[:30]!r} inside a container div")
-        elif text:
-            kind, width = "text_block", None
-            source_map, offset = [], 0
-            for piece, start, end in node.pieces:
-                source_map += (offset, len(piece), start, end)
-                offset += len(piece)
-            rotated = props.get("rotated", False)
-            block = TextBlock(
-                text=text.replace("\n", " "),
-                font_size=float(props.get("font-size", 0.0)),
-                rotated=bool(rotated),
-                internal_gaps=node.gaps,
-                source_map=tuple(source_map),
-            )
-            if "\n" in text:
-                self.warnings.append(
-                    "line break inside a text block; replaced with a space")
-            if "width" in props:
-                self.warnings.append(
-                    f"text block {text[:30]!r} carries an explicit width")
-            if rotated is None:
-                self.warnings.append(
-                    f"text block {text[:30]!r} has a transform that cannot "
-                    f"be read; taken as upright")
         elif width is not None and height is not None:
             kind = "line"
         else:
             kind = "container"
-        top = props.get("top") if "bottom" not in props else None
         self._attach(PageObject(
             kind=kind, relative_start=_start(props), width=width,
-            height=height, top=None if top is None else float(top),
-            children=node.children, block=block, attrs=node.attrs))
+            height=height, top=_top(props), children=node.children,
+            attrs=node.attrs))
+
+    def _text_object(self, props, attrs, text, source_map, gaps):
+        """The text-block object of a div with the resolved ``props``,
+        with its warnings."""
+        rotated = props.get("rotated", False)
+        block = TextBlock(
+            text=text.replace("\n", " "),
+            font_size=float(props.get("font-size", 0.0)),
+            rotated=bool(rotated),
+            internal_gaps=gaps,
+            source_map=source_map,
+        )
+        if "\n" in text:
+            self.warnings.append(
+                "line break inside a text block; replaced with a space")
+        if "width" in props:
+            self.warnings.append(
+                f"text block {text[:30]!r} carries an explicit width")
+        if rotated is None:
+            self.warnings.append(
+                f"text block {text[:30]!r} has a transform that cannot "
+                f"be read; taken as upright")
+        return PageObject(
+            kind="text_block", relative_start=_start(props),
+            height=props.get("height"), top=_top(props), block=block,
+            attrs=attrs)
 
     def _attach(self, obj: PageObject):
         # spans are transparent: children attach to the nearest enclosing div,

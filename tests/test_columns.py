@@ -1,18 +1,22 @@
 """Column detection by vertical sweep, printing area, assignment."""
 
 import random
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bodytext.columns import (SPAN_COLUMN, assign_columns, bt_area,
                               detect_columns, iter_segments, sweep)
 from bodytext.errors import PipelineError
-from bodytext.metrics import Thresholds, group_lines
+from bodytext.metrics import Line, Thresholds, group_lines
 from bodytext.pipeline import extract, extract_from_document
 from bodytext.removal import RemovalLog, _drop_lines
 from bodytext.replica import parse_replica
 from fixtures import build_all
-from helpers import block, line, tree, two_column_model
+from helpers import (block, line, single_column_model, tree,
+                     two_column_model)
 
 T = Thresholds()
 
@@ -175,7 +179,6 @@ def test_assign_spanning_region():
 
 
 def test_assign_single_column_noop():
-    from helpers import single_column_model
     rows = [line([f"l{i}"], y=700 - 14 * i, x=72) for i in range(4)]
     t = tree(rows)
     assign_columns(t, single_column_model(), T)
@@ -240,3 +243,117 @@ def test_subpixel_translation_keeps_columns(name, dx):
             x, y = obj.relative_start
             obj.relative_start = (x + dx, y)
     assert extract_from_document(doc).bt_bytes == plain.bt_bytes
+
+
+# -- the parent's assignment, kept as the oracle ------------------------------
+# It smooths spanning regions by repeated passes until nothing changes, and
+# finds a block's column by testing it against every left.
+
+def _reference_assign_columns(tree, model, thresholds):
+    for page in tree.pages:
+        lefts = model.for_page(page.page_number).column_lefts
+        rows = sorted(page.lines, key=lambda ln: -ln.y)
+        spanning = [False] * len(rows)
+        if len(lefts) == 2:
+            spanning = _reference_spanning_rows(rows, lefts, thresholds)
+        new_lines = []
+        for is_span, band in groupby(zip(rows, spanning), key=itemgetter(1)):
+            if is_span:
+                for row, _ in band:
+                    row.column_id = SPAN_COLUMN
+                    new_lines.append(row)
+            else:
+                new_lines.extend(sorted(
+                    (ln for row, _ in band
+                     for ln in _reference_split_row(row, lefts)),
+                    key=attrgetter("column_id")))
+        page.lines = new_lines
+
+
+def _reference_spanning_rows(rows, lefts, thresholds):
+    d1 = thresholds.delta1
+    c2 = lefts[1]
+    spanning = []
+    for row in rows:
+        beyond = any(b.x > c2 + d1 for b in row.blocks)
+        at_c2 = any(abs(b.x - c2) <= d1 for b in row.blocks)
+        spanning.append(beyond and not at_c2)
+    for i in range(len(rows)):
+        if (spanning[i] and (i == 0 or not spanning[i - 1])
+                and (i + 1 == len(rows) or not spanning[i + 1])):
+            spanning[i] = False
+    aligned = [any(abs(b.x - left) <= d1 for b in row.blocks
+                   for left in lefts) for row in rows]
+    changed = any(spanning)
+    while changed:
+        changed = False
+        for i in range(len(rows)):
+            if spanning[i] or aligned[i]:
+                continue
+            if ((i > 0 and spanning[i - 1])
+                    or (i + 1 < len(rows) and spanning[i + 1])):
+                spanning[i] = True
+                changed = True
+    return spanning
+
+
+def _reference_split_row(row, lefts):
+    buckets = {}
+    for b in row.blocks:
+        cid = 0
+        for i, left in enumerate(lefts):
+            if round(b.x) >= left:
+                cid = i
+        buckets.setdefault(cid, []).append(b)
+    return [Line(blocks=buckets[cid], y=max(b.y for b in buckets[cid]),
+                 column_id=cid) for cid in sorted(buckets)]
+
+
+# x offsets from a column left: within delta1 (5), on its edge, just past
+# it, and the halves that round to either side
+_JITTER = st.one_of(st.sampled_from([0, 0.5, -0.5, 1.5, -2.5, 4.9, -4.9, 5,
+                                     -5, 5.5, -5.5]),
+                    st.floats(-6, 6, allow_nan=False))
+# a row's block starts: on the two columns, beyond the second with nothing
+# at it, or aligned to no left at all
+_ROW = st.one_of(
+    st.tuples(st.builds(lambda j: 72 + j, _JITTER),
+              st.builds(lambda j: 312 + j, _JITTER)),
+    st.tuples(st.builds(lambda j: 72 + j, _JITTER)),
+    st.tuples(st.builds(lambda j: 312 + j, _JITTER)),
+    st.tuples(st.sampled_from([72, 150, 60]),
+              st.sampled_from([318, 330, 400, 317.5])),
+    st.tuples(st.sampled_from([60, 150, 200.5, 250, 290])),
+)
+
+
+@st.composite
+def _page_blocks(draw):
+    """The blocks of a page drawn row by row, 14 px apart with y jitter
+    under delta1, and runs of wide rows with unaligned chains above and
+    below them."""
+    rows = draw(st.lists(_ROW, max_size=24))
+    blocks = []
+    for r, xs in enumerate(rows):
+        for x in xs:
+            dy = draw(st.sampled_from([0, 0, 1.5, -2]))
+            blocks.append(block("w", x=x, y=700 - 14 * r + dy,
+                                index=len(blocks)))
+    return blocks
+
+
+@given(_page_blocks(),
+       st.sampled_from([two_column_model(), single_column_model(),
+                        two_column_model((72, 240)),
+                        two_column_model((72, 240, 408))]))
+@settings(max_examples=300, deadline=None)
+def test_assign_columns_matches_reference(blocks, model):
+    new = group_lines(blocks, T.delta1, {1: (612.0, 792.0)})
+    old = group_lines(blocks, T.delta1, {1: (612.0, 792.0)})
+    assign_columns(new, model, T)
+    _reference_assign_columns(old, model, T)
+
+    def shape(t):
+        return [(ln.column_id, ln.y, [b.index for b in ln.blocks])
+                for ln in t.pages[0].lines] if t.pages else []
+    assert shape(new) == shape(old)

@@ -11,13 +11,16 @@ import time
 from dataclasses import replace
 
 from bodytext.assembly import segment_sentences
+from bodytext.columns import assign_columns, detect_columns, sweep
 from bodytext.errors import PipelineError
 from bodytext.highlight import (HighlightSpan, inject_colors, locate_sentence,
                                 strip_highlights)
+from bodytext.metrics import Thresholds
 from bodytext.pipeline import extract
 from bodytext.replica import (CharRef, enumerate_blocks, parse_replica,
                               resolve_absolute)
 from fixtures import scaling_doc
+from helpers import line, tree, two_column_model
 
 RATIO_BOUND = 16
 
@@ -122,3 +125,38 @@ def _stream(pages: int):
 def test_locate_sentence_linear():
     ratio = _ratio(_locate_absent, _stream, 8)
     assert ratio < RATIO_BOUND, f"8x more pages took {ratio:.1f}x"
+
+
+def _assign(arg) -> None:
+    rows, model = arg
+    assign_columns(tree(rows), model, Thresholds())
+
+
+def _wide_rows(blocks: int):
+    """8 rows of ``blocks`` blocks set 10 px apart, and the model that the
+    sweep finds for them: one column left under nearly every block."""
+    rows = [line(["w"] * blocks, y=700 - 14 * i, step=10) for i in range(8)]
+    model = detect_columns(sweep(tree(rows, width=72 + 10.0 * blocks)),
+                           Thresholds())
+    assert len(model.column_lefts) == blocks - 1
+    return rows, model
+
+
+def test_assign_columns_linear_in_column_lefts():
+    # each block finds its column among all the lefts
+    ratio = _ratio(_assign, _wide_rows, 150)
+    assert ratio < RATIO_BOUND, f"8x more blocks and lefts took {ratio:.1f}x"
+
+
+def _chain_above_run(rows: int):
+    """``rows`` rows aligned to no column left above a two-row spanning
+    run, on a two-column page: the run absorbs the whole chain."""
+    chain = [line("closer", y=10_000 - 14 * i, x=150) for i in range(rows)]
+    run = [line(["wide", "tail"], y=10_000 - 14 * (rows + i), x=150,
+                step=250) for i in range(2)]
+    return chain + run, two_column_model()
+
+
+def test_assign_columns_linear_in_spanning_chain():
+    ratio = _ratio(_assign, _chain_above_run, 400)
+    assert ratio < RATIO_BOUND, f"8x longer chain took {ratio:.1f}x"

@@ -269,6 +269,20 @@ def test_title_content_is_raw_text(title):
     assert doc.warnings == []
 
 
+@pytest.mark.parametrize("head, x", [
+    ("<style>.q{left:300px}</style >", 300.0),
+    ("<STYLE type='text/css'>.q{left:300px}</ Style\t>", 300.0),
+    ("<style\n>.q{left:300px}</style>", 300.0),
+    # not a style element, and not closed by the first </style>
+    ("<styles>.q{left:300px}</styles><style></style>", 0.0),
+    ("<style/>.q{left:300px}<style></style>", 0.0),
+])
+def test_style_block_is_read_as_the_token_pass_reads_it(head, x):
+    html = head + page_html('<div class="t q y1 hh fs">x</div>')
+    doc = resolve_absolute(parse_replica(html, CSS))
+    assert [b.x for b in enumerate_blocks(doc)] == [x]
+
+
 def test_unknown_class_warns_then_strict_raises():
     html = page_html('<div class="t zz9 x1 y1 hh fs">x</div>')
     doc = parse_replica(html, CSS)

@@ -76,12 +76,27 @@ def _tag(draw, name):
     return (name.upper() if upper else name), attrs
 
 
+# whitespace the leaf-div token may take in front of a div
+_SPACE = ["", " ", "\t", "\r", "\n", "\f", "\r\n  "]
+# the content of a leaf-shaped div: one run of plain text, or one that
+# only looks like it (a reference, a span, a self-closing div after space)
+_LEAF_TEXT = ["alpha", " x\ny ", "a > b", "\t", "a&amp;b", "<span>b</span>",
+              " <div/>x", '\n<div class="a"/>y', "\t<DIV class=q />z",
+              '\f<div class="a"/> \r\n']
+
+
 @st.composite
 def _text(draw):
     parts = draw(st.lists(st.one_of(
         st.sampled_from(_WORDS), st.sampled_from(_REFS),
         st.just("<!-- note -->"), st.just("<br>"), st.just("<img/>"),
-        st.just("<div/>"), st.just('<span class="_g"> </span>')),
+        st.just('<span class="_g"> </span>'),
+        # a self-closing div is no leaf: the space before it and the text
+        # after it stay in this block
+        st.builds("{}{}{}".format, st.sampled_from(_SPACE),
+                  st.sampled_from(["<div/>", '<div class="a"/>',
+                                   "<DIV class=q />"]),
+                  st.sampled_from(["", "x", "&amp;"]))),
         min_size=1, max_size=8))
     text = "".join(parts)
     if draw(st.booleans()):
@@ -91,23 +106,36 @@ def _text(draw):
 
 
 @st.composite
-def _block(draw):
+def _block(draw, kind=None):
     tag, attrs = draw(_tag("div"))
-    kind = draw(st.sampled_from(["text", "text", "image", "rule", "nested"]))
+    close = "</" + tag + draw(st.sampled_from(["", " ", "\t"])) + ">"
+    kind = kind or draw(st.sampled_from(["text", "text", "leaf", "image",
+                                         "rule", "empty", "nested",
+                                         "nested"]))
     cls = draw(st.sampled_from(["t x1 y1 hh fs", "t x2 y2 hh fs",
                                 "t x1 y2 hh fs zz", "t x1 y1"]))
     if kind == "image":
         slash = draw(st.sampled_from(["", "/", " /"]))
         return f"<img{attrs(**{'class': 'x1 y1 wimg himg'})}{slash}>"
     if kind == "rule":
-        return f"<{tag}{attrs(**{'class': 'x1 y1 wimg hh'})}></{tag}>"
+        return f"<{tag}{attrs(**{'class': 'x1 y1 wimg hh'})}>{close}"
+    if kind == "empty":
+        return f"<{tag}{attrs(**{'class': cls})}>{close}"
     if kind == "nested":
-        inner = draw(_block())
-        return f"<{tag}{attrs(**{'class': 'x1 y2'})}>{inner}</{tag}>"
+        # stray text around the inner div, and space before it, go to the
+        # container's stray-text warning
+        before = draw(st.sampled_from(["", "&amp;", "<b>s</b>"]))
+        inner = draw(st.sampled_from(_SPACE)) + draw(
+            st.one_of(_block("leaf"), _block()))
+        after = draw(st.sampled_from(["", "y"]))
+        return (f"<{tag}{attrs(**{'class': 'x1 y2'})}>{before}{inner}{after}"
+                f"{close}")
     style = draw(st.sampled_from(
         ["", "transform: rotate(90deg)", "transform:matrix(0,1,-1,0,0,0)"]))
     extra = {"style": style} if style else {}
-    return f"<{tag}{attrs(**{'class': cls}, **extra)}>{draw(_text())}</{tag}>"
+    text = (draw(st.sampled_from(_LEAF_TEXT)) if kind == "leaf"
+            else draw(_text()))
+    return f"<{tag}{attrs(**{'class': cls}, **extra)}>{text}{close}"
 
 
 @st.composite
@@ -120,11 +148,13 @@ def _document(draw):
         "<title>A title</title>", "<title>A </span> &amp; <b>t</title>",
         "<meta charset='utf-8'>", "\r\n",
         "<?xml version='1.0'?>"]), max_size=4))
-    blocks = draw(st.lists(_block(), max_size=5))
+    blocks = draw(st.lists(st.tuples(st.sampled_from(_SPACE), _block()),
+                           max_size=5))
     newline = draw(st.sampled_from(["", "\n", "\r\n"]))
     html = ("".join(head) + '<div id="page-container">'
-            + '<div class="pf w0 h0" data-page-no="1">' + newline
-            + newline.join(blocks) + "</div></div>" + newline)
+            + '<div class="pf w0 h0" data-page-no="1">'
+            + "".join(space + block for space, block in blocks)
+            + newline + "</div></div>" + newline)
     # a dropped or a stray closing tag must fail at the same byte
     mutation = draw(st.sampled_from(["none", "none", "drop", "stray"]))
     if mutation == "drop":
